@@ -100,19 +100,6 @@ struct BenchArgs
      */
     unsigned jobs = 0;
     /**
-     * Parallel-DES worker threads inside ONE simulation:
-     *   --shards=N           1 = serial kernel (byte-identical to
-     *                        every golden); N > 1 shards the run by
-     *                        ICN cluster (results identical for any
-     *                        N, not tick-identical to serial)
-     *   --shard-window-us=W  sync-window override (0 = auto: the
-     *                        min cross-cluster ICN latency)
-     * --jobs parallelizes across sweep points, --shards within one
-     * run; see EXPERIMENTS.md for when to use which.
-     */
-    std::uint32_t shards = 1;
-    Tick shardWindow = 0;
-    /**
      * NIC dispatch / intra-machine scheduling policy:
      *   --dispatch=rr|po2c|jsqd|steal|slo   (default rr: today's
      *                        round-robin, byte-identical goldens)
@@ -123,8 +110,6 @@ struct BenchArgs
      *   --steal-cycles=C           cost per steal probe, hit or miss
      *   --slo-budget-us=B          per-root latency budget (slo)
      *   --slo-slice-us=S           preemption slice (slo; 0 = off)
-     * Non-rr policies are serial-only: --shards>1 falls back with a
-     * warning.
      */
     DispatchPolicyParams dispatch;
 
@@ -140,15 +125,6 @@ struct BenchArgs
             cfg.getInt("seed", static_cast<std::int64_t>(seed)));
         obs = obsFromConfig(cfg);
         jobs = SweepRunner::clampJobs(cfg.getInt("jobs", 0));
-        const std::int64_t sh = cfg.getInt("shards", 1);
-        if (sh < 1)
-            fatal("shards must be >= 1 (got %lld)",
-                  static_cast<long long>(sh));
-        shards = static_cast<std::uint32_t>(sh);
-        const double wus = cfg.getDouble("shard_window_us", 0.0);
-        if (wus < 0.0)
-            fatal("shard_window_us must be >= 0 (got %g)", wus);
-        shardWindow = fromUs(wus);
         dispatch = dispatchParamsFromConfig(cfg, dispatch);
     }
 };
@@ -203,8 +179,6 @@ evalConfig(const MachineParams &machine, double rps_per_server,
     cfg.measure = args.measure;
     cfg.seed = args.seed;
     cfg.obs = args.obs;
-    cfg.shards = args.shards;
-    cfg.shardWindow = args.shardWindow;
     cfg.machine.dispatch = args.dispatch;
     return cfg;
 }

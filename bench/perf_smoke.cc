@@ -165,24 +165,6 @@ main(int argc, char **argv)
     const double figEvents =
         stats.has("sim.events") ? stats.value("sim.events") : 0.0;
 
-    // --- shard_scaling section ------------------------------------
-    // The same fig14-class point run as ONE simulation sharded over
-    // N worker threads (parallel DES, --shards=N). On a single-core
-    // host the window barriers cost more than the parallelism buys;
-    // the section records whatever this host measures so perf_trend
-    // can track the trajectory per machine class.
-    const auto shardWall = [&](std::uint32_t shards) {
-        ExperimentConfig sc = cfg;
-        sc.shards = shards;
-        const auto t0 = clock_type::now();
-        runExperiment(catalog, sc);
-        return secondsSince(t0);
-    };
-    const double shard1 = shardWall(1);
-    const double shard2 = shardWall(2);
-    const double shard4 = shardWall(4);
-    const double shard8 = shardWall(8);
-
     // --- sweep section --------------------------------------------
     // Four identical points; jobs=1 vs jobs=hardware measures the
     // runner's overhead/scaling, not workload variance.
@@ -219,12 +201,6 @@ main(int argc, char **argv)
     t.addRow({strprintf("sweep x4"),
               strprintf("wall ms (jobs=%u)", hwJobs),
               Table::num(sweepN * 1e3)});
-    t.addRow({"shard_scaling", "wall ms (shards=1)",
-              Table::num(shard1 * 1e3)});
-    t.addRow({"shard_scaling", "wall ms (shards=8)",
-              Table::num(shard8 * 1e3)});
-    t.addRow({"shard_scaling", "speedup (shards=8)",
-              Table::num(shard8 > 0.0 ? shard1 / shard8 : 0.0, 2)});
     std::printf("%s\n", t.format().c_str());
 
     JsonWriter w;
@@ -265,19 +241,6 @@ main(int argc, char **argv)
         .value(sweepN * 1e3)
         .key("speedup")
         .value(sweepN > 0.0 ? sweep1 / sweepN : 0.0)
-        .endObject();
-    w.key("shard_scaling")
-        .beginObject()
-        .key("wall_ms_shards1")
-        .value(shard1 * 1e3)
-        .key("wall_ms_shards2")
-        .value(shard2 * 1e3)
-        .key("wall_ms_shards4")
-        .value(shard4 * 1e3)
-        .key("wall_ms_shards8")
-        .value(shard8 * 1e3)
-        .key("speedup_shards8")
-        .value(shard8 > 0.0 ? shard1 / shard8 : 0.0)
         .endObject();
     w.endObject();
     if (!writeTextFile(out, w.str()))

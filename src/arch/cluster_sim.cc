@@ -6,7 +6,6 @@
 #include "obs/attrib.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "validate/invariants.hh"
 
 namespace umany
@@ -53,8 +52,6 @@ ClusterSim::ClusterSim(EventQueue &eq, const ServiceCatalog &catalog,
     placeInstances();
     perEndpoint_.resize(catalog_.size());
     qosThreshold_.assign(catalog_.size(), 0);
-    extPart_ = static_cast<std::uint16_t>(
-        servers_[0]->machine().numClusters());
 
     if (p_.recovery.enabled) {
         // Retries conserve the request lifecycle: every launched
@@ -80,98 +77,6 @@ ClusterSim::ClusterSim(EventQueue &eq, const ServiceCatalog &catalog,
 }
 
 ClusterSim::~ClusterSim() = default;
-
-void
-ClusterSim::enableSharding(std::uint32_t lanes, Tick record_from)
-{
-    if (onRackRootDone)
-        fatal("rack-routed packages are serial-only (no sharding)");
-    sharded_ = true;
-    recordFrom_ = record_from;
-    laneStores_.clear();
-    laneBreakdown_.clear();
-    laneBehaviorRng_.clear();
-    lanePlaceRng_.clear();
-    laneStores_.reserve(lanes);
-    laneBreakdown_.reserve(lanes);
-    laneBehaviorRng_.reserve(lanes);
-    lanePlaceRng_.reserve(lanes);
-    const std::uint64_t bb = streamSeed(
-        streamSeed(p_.seed, rngstream::behavior), rngstream::lane);
-    const std::uint64_t pb = streamSeed(
-        streamSeed(p_.seed, rngstream::placement), rngstream::lane);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        laneStores_.push_back(std::make_unique<LaneReqStore>());
-        laneBreakdown_.push_back(std::make_unique<LaneBreakdown>());
-        laneBehaviorRng_.emplace_back(streamSeed(bb, l));
-        lanePlaceRng_.emplace_back(streamSeed(pb, l));
-    }
-    laneNextId_.assign(lanes, 1);
-    for (auto &srv : servers_)
-        srv->machine().enableSharding(lanes);
-}
-
-std::uint32_t
-ClusterSim::curLane() const
-{
-    return ShardRuntime::currentLaneOr(
-        static_cast<std::uint32_t>(laneStores_.size()));
-}
-
-const Summary &
-ClusterSim::queuedTimeUs() const
-{
-    if (!sharded_)
-        return queuedUs_;
-    mergedQueuedUs_ = queuedUs_;
-    for (const auto &b : laneBreakdown_)
-        mergedQueuedUs_.merge(b->queuedUs);
-    return mergedQueuedUs_;
-}
-
-const Summary &
-ClusterSim::blockedTimeUs() const
-{
-    if (!sharded_)
-        return blockedUs_;
-    mergedBlockedUs_ = blockedUs_;
-    for (const auto &b : laneBreakdown_)
-        mergedBlockedUs_.merge(b->blockedUs);
-    return mergedBlockedUs_;
-}
-
-const Summary &
-ClusterSim::runningTimeUs() const
-{
-    if (!sharded_)
-        return runningUs_;
-    mergedRunningUs_ = runningUs_;
-    for (const auto &b : laneBreakdown_)
-        mergedRunningUs_.merge(b->runningUs);
-    return mergedRunningUs_;
-}
-
-const Summary &
-ClusterSim::requestCpuUtilization() const
-{
-    if (!sharded_)
-        return reqUtil_;
-    mergedReqUtil_ = reqUtil_;
-    for (const auto &b : laneBreakdown_)
-        mergedReqUtil_.merge(b->reqUtil);
-    return mergedReqUtil_;
-}
-
-std::uint64_t
-ClusterSim::requestsInFlight() const
-{
-    std::uint64_t n = requests_.size();
-    for (const auto &st : laneStores_) {
-        std::lock_guard<std::mutex> g(st->mu);
-        n += st->reqs.size();
-    }
-    return n;
-}
 
 void
 ClusterSim::placeInstances()
@@ -269,31 +174,14 @@ ClusterSim::wireServer(ServerId s)
 ServiceRequest *
 ClusterSim::makeRequest(ServiceId service, ServiceRequest *parent)
 {
-    RequestId id;
-    Rng *behavior = &behaviorRng_;
-    if (sharded_) {
-        // Lane-scoped ids: disjoint ranges without coordination, and
-        // destroy() can recover the owning store from the upper bits.
-        const std::uint32_t l = curLane();
-        id = (static_cast<RequestId>(l + 1) << 48) |
-             laneNextId_[l]++;
-        behavior = &laneBehaviorRng_[l];
-    } else {
-        id = p_.idBase + nextId_++;
-    }
+    const RequestId id = p_.idBase + nextId_++;
     auto req = std::make_unique<ServiceRequest>(
-        id, service, catalog_.makeBehavior(service, *behavior));
+        id, service, catalog_.makeBehavior(service, behaviorRng_));
     req->parent = parent;
     req->createdAt = eq_.now();
     ServiceRequest *raw = req.get();
     UMANY_ATTRIB(AttribRegistry::active()->onCreate(*raw, eq_.now()));
-    if (sharded_) {
-        LaneReqStore &st = *laneStores_[curLane()];
-        std::lock_guard<std::mutex> g(st.mu);
-        st.reqs.emplace(id, std::move(req));
-    } else {
-        requests_.emplace(id, std::move(req));
-    }
+    requests_.emplace(id, std::move(req));
     return raw;
 }
 
@@ -301,42 +189,24 @@ void
 ClusterSim::destroy(ServiceRequest *req)
 {
     // §3.3 accounting: where each service request's lifetime went.
-    if (recordingAt(eq_.now()) && !req->rejected &&
+    if (recording_ && !req->rejected &&
         req->state == ReqState::Finished) {
         const double queued = toUs(req->queuedTime);
         const double blocked = toUs(req->blockedTime);
         const double running = toUs(req->runningTime);
         const double total = queued + blocked + running;
-        if (sharded_) {
-            LaneBreakdown &b = *laneBreakdown_[curLane()];
-            b.queuedUs.add(queued);
-            b.blockedUs.add(blocked);
-            b.runningUs.add(running);
-            if (total > 0.0)
-                b.reqUtil.add(running / total);
-        } else {
-            queuedUs_.add(queued);
-            blockedUs_.add(blocked);
-            runningUs_.add(running);
-            if (total > 0.0)
-                reqUtil_.add(running / total);
-        }
+        queuedUs_.add(queued);
+        blockedUs_.add(blocked);
+        runningUs_.add(running);
+        if (total > 0.0)
+            reqUtil_.add(running / total);
         // Same population as the Summaries above, so the ledger
         // aggregates are 1:1 comparable against §3.3.
         UMANY_ATTRIB(AttribRegistry::active()->accumulate(*req));
     }
     UMANY_INVARIANT(InvariantChecker::active()->onDestroy(*req));
     UMANY_ATTRIB(AttribRegistry::active()->onDestroy(*req, eq_.now()));
-    if (sharded_) {
-        const RequestId id = req->id();
-        const std::uint32_t l =
-            static_cast<std::uint32_t>(id >> 48) - 1;
-        LaneReqStore &st = *laneStores_[l];
-        std::lock_guard<std::mutex> g(st.mu);
-        st.reqs.erase(id);
-    } else {
-        requests_.erase(req->id());
-    }
+    requests_.erase(req->id());
 }
 
 void
@@ -379,7 +249,7 @@ ClusterSim::submitRoot(ServiceId endpoint, std::uint64_t rack_ctx)
     const Tick arrive =
         eq_.now() +
         servers_[target]->machine().topNic().params().extLatency;
-    eq_.schedule(arrive, evTagExt(EvSrc::NetExternal),
+    eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
                  [this, req, target]() {
         servers_[target]->machine().externalArrival(req);
     });
@@ -417,7 +287,7 @@ ClusterSim::launchAttempt(std::uint64_t task_id)
     const Tick arrive =
         eq_.now() +
         servers_[target]->machine().topNic().params().extLatency;
-    eq_.schedule(arrive, evTagExt(EvSrc::NetExternal),
+    eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
                  [this, req, target]() {
         servers_[target]->machine().externalArrival(req);
     });
@@ -425,7 +295,7 @@ ClusterSim::launchAttempt(std::uint64_t task_id)
     // The event queue has no cancel primitive: the timeout carries
     // the attempt generation and no-ops once the attempt resolved.
     eq_.schedule(eq_.now() + p_.recovery.timeout,
-                 evTagExt(EvSrc::ClientRetry),
+                 EvTag{EvSrc::ClientRetry},
                  [this, task_id, gen]() {
                      onAttemptTimeout(task_id, gen);
                  });
@@ -482,7 +352,7 @@ ClusterSim::scheduleRetry(std::uint64_t task_id)
     UMANY_TRACE(TraceSink::active()->instant(
         eq_.now(), p_.tracePidBase + t.lastTarget, traceClientTrack, "recovery.retry",
         task_id, static_cast<double>(t.attempt)));
-    eq_.schedule(eq_.now() + delay, evTagExt(EvSrc::ClientRetry),
+    eq_.schedule(eq_.now() + delay, EvTag{EvSrc::ClientRetry},
                  [this, task_id, gen]() {
         auto it = tasks_.find(task_id);
         if (it == tasks_.end() || it->second.generation != gen)
@@ -585,7 +455,7 @@ ClusterSim::handleRootComplete(ServerId, ServiceRequest *req)
             }
         }
     }
-    if (recordingAt(eq_.now())) {
+    if (recording_) {
         ++observedRoots_;
         if (req->rejected) {
             ++rejectedRoots_;
@@ -619,7 +489,7 @@ ClusterSim::handleStorageCall(ServerId s, ServiceRequest *parent,
         done +
         servers_[s]->machine().topNic().params().extLatency;
     const std::uint32_t bytes = step.responseBytes;
-    eq_.schedule(back, evTagExt(EvSrc::NetExternal),
+    eq_.schedule(back, EvTag{EvSrc::NetExternal},
                  [this, s, parent, bytes]() {
         servers_[s]->machine().externalResponse(parent, bytes);
     });
@@ -631,11 +501,10 @@ ClusterSim::handleServiceCall(ServerId s, ServiceRequest *parent,
 {
     // Resolve placement: stay local with probability localCallBias
     // (an instance exists on every server by construction).
-    Rng &place = sharded_ ? lanePlaceRng_[curLane()] : placeRng_;
     ServerId target = s;
-    if (servers_.size() > 1 && !place.chance(p_.localCallBias)) {
+    if (servers_.size() > 1 && !placeRng_.chance(p_.localCallBias)) {
         target = static_cast<ServerId>(
-            place.below(servers_.size() - 1));
+            placeRng_.below(servers_.size() - 1));
         if (target >= s)
             ++target;
     }
@@ -657,7 +526,7 @@ ClusterSim::handleServiceCall(ServerId s, ServiceRequest *parent,
                                                  child]() {
         const Tick arrive = interServer_->send(
             s, target, child->reqBytes, eq_.now());
-        eq_.schedule(arrive, evTagExt(EvSrc::NetExternal),
+        eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
                      [this, target, child]() {
             servers_[target]->machine().externalArrival(child);
         });
@@ -673,7 +542,7 @@ ClusterSim::handleRemoteChildFinished(ServerId s,
     const std::uint32_t bytes = child->respBytes;
     const Tick arrive =
         interServer_->send(s, home, bytes, eq_.now());
-    eq_.schedule(arrive, evTagExt(EvSrc::NetExternal),
+    eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
                  [this, home, parent, bytes]() {
         servers_[home]->machine().externalResponse(parent, bytes);
     });

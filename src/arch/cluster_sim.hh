@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -121,26 +120,13 @@ class ClusterSim
     /**
      * Rack-routed submit: like submitRoot(), with an opaque rack
      * context (nonzero) passed back through onRackRootDone when the
-     * root resolves. Serial mode only (the rack layer is not
-     * sharded).
+     * root resolves.
      */
     void submitRoot(ServiceId endpoint, std::uint64_t rack_ctx);
     /** @} */
 
     /** Enable/disable latency recording (off during warmup). */
     void setRecording(bool on) { recording_ = on; }
-
-    /**
-     * Enable parallel-DES sharding (sim/shard.hh): per-lane RNG
-     * streams, request-id ranges, request stores, and breakdown
-     * Summaries replace the shared ones, and every machine switches
-     * to owner-lane NoC processing. Recording is decided by tick
-     * (>= @p record_from) instead of the serial recording_ flag,
-     * since lanes observe the warmup flip at different local times.
-     * Must be called before any request is submitted.
-     */
-    void enableSharding(std::uint32_t lanes, Tick record_from);
-    bool sharded() const { return sharded_; }
 
     /** Optional per-endpoint QoS thresholds (§6.5). */
     void setQosThreshold(ServiceId endpoint, Tick threshold);
@@ -149,11 +135,11 @@ class ClusterSim
     const Histogram &endpointLatency(ServiceId endpoint) const;
     const Histogram &allLatency() const { return allLatency_; }
     /** @name Per-service-request time breakdown (§3.3). @{ */
-    const Summary &queuedTimeUs() const;
-    const Summary &blockedTimeUs() const;
-    const Summary &runningTimeUs() const;
+    const Summary &queuedTimeUs() const { return queuedUs_; }
+    const Summary &blockedTimeUs() const { return blockedUs_; }
+    const Summary &runningTimeUs() const { return runningUs_; }
     /** running / (running+blocked+queued) per handler execution. */
-    const Summary &requestCpuUtilization() const;
+    const Summary &requestCpuUtilization() const { return reqUtil_; }
     /** @} */
     std::uint64_t completedRoots() const { return completedRoots_; }
     std::uint64_t rejectedRoots() const { return rejectedRoots_; }
@@ -168,7 +154,7 @@ class ClusterSim
     /** Responses that arrived after their attempt timed out. */
     std::uint64_t staleResponses() const { return staleResponses_; }
     /** @} */
-    std::uint64_t requestsInFlight() const;
+    std::uint64_t requestsInFlight() const { return requests_.size(); }
     /** @} */
 
     std::uint32_t numServers() const
@@ -240,50 +226,6 @@ class ClusterSim
     std::uint64_t timeouts_ = 0;
     std::uint64_t shedRoots_ = 0;
     std::uint64_t staleResponses_ = 0;
-
-    /** @name Parallel-DES mode @{ */
-    bool sharded_ = false;
-    Tick recordFrom_ = 0;
-    std::uint16_t extPart_ = evPartNone; //!< Shared-lane partition.
-    /**
-     * Per-lane request store. Requests are created in the lane that
-     * runs the creating event and destroyed in the lane that
-     * delivers the response — usually a different one — so each
-     * store takes a (mostly uncontended) mutex; the owning lane is
-     * recoverable from the id's upper bits.
-     */
-    struct LaneReqStore
-    {
-        std::mutex mu;
-        std::unordered_map<RequestId,
-                           std::unique_ptr<ServiceRequest>> reqs;
-    };
-    std::vector<std::unique_ptr<LaneReqStore>> laneStores_;
-    std::vector<std::uint64_t> laneNextId_;
-    std::vector<Rng> laneBehaviorRng_;
-    std::vector<Rng> lanePlaceRng_;
-    /** Per-lane §3.3 breakdown Summaries, merged on read. */
-    struct LaneBreakdown
-    {
-        Summary queuedUs;
-        Summary blockedUs;
-        Summary runningUs;
-        Summary reqUtil;
-    };
-    std::vector<std::unique_ptr<LaneBreakdown>> laneBreakdown_;
-    mutable Summary mergedQueuedUs_;
-    mutable Summary mergedBlockedUs_;
-    mutable Summary mergedRunningUs_;
-    mutable Summary mergedReqUtil_;
-
-    std::uint32_t curLane() const;
-    /** Whether a completion at @p now lands in the stats window. */
-    bool recordingAt(Tick now) const
-    {
-        return sharded_ ? now >= recordFrom_ : recording_;
-    }
-    EvTag evTagExt(EvSrc s) const { return EvTag{s, extPart_}; }
-    /** @} */
 
     void placeInstances();
     void wireServer(ServerId s);

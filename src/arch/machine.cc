@@ -10,7 +10,6 @@
 #include "obs/attrib.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "validate/invariants.hh"
 
 namespace umany
@@ -130,24 +129,6 @@ Machine::buildTopology()
         streamSeed(seed_, rngstream::network));
     net_->setContention(p_.icnContention);
     net_->setTracePid(self_);
-
-    // Endpoint -> cluster map for the self-profiler's traffic
-    // matrix: leaf endpoints (villages and the per-cluster pool) map
-    // to their cluster, everything else (the external/top-NIC
-    // endpoint) to one "ext" bucket past the last cluster.
-    const std::uint32_t num_clusters =
-        p_.numCores / (p_.coresPerVillage * p_.villagesPerCluster);
-    const std::uint32_t epl =
-        p_.villagesPerCluster + (p_.hasMemoryPool ? 1 : 0);
-    std::vector<std::uint16_t> parts(
-        topo_->endpointCount(),
-        static_cast<std::uint16_t>(num_clusters));
-    for (std::size_t e = 0; e < parts.size(); ++e) {
-        if (e < static_cast<std::size_t>(num_clusters) * epl)
-            parts[e] = static_cast<std::uint16_t>(e / epl);
-    }
-    extPart_ = static_cast<std::uint16_t>(num_clusters);
-    net_->setEndpointPartitions(std::move(parts));
 }
 
 void
@@ -313,56 +294,12 @@ Machine::installInstance(ServiceId service, VillageId village)
         villages_[village].rq->registerService(service);
 }
 
-void
-Machine::enableSharding(std::uint32_t lanes)
-{
-    sharded_ = true;
-    laneSeq_.assign(lanes, 1);
-    laneCompleted_.assign(lanes, 0);
-    laneRejected_.assign(lanes, 0);
-    laneShed_.assign(lanes, 0);
-    laneRng_.clear();
-    laneRng_.reserve(lanes);
-    const std::uint64_t base = streamSeed(
-        streamSeed(seed_, rngstream::coherence), rngstream::lane);
-    for (std::uint32_t l = 0; l < lanes; ++l)
-        laneRng_.emplace_back(streamSeed(base, l));
-    serviceMap_.enableSharding(lanes);
-    std::vector<std::uint16_t> owners;
-    topo_->linkOwners(net_->endpointPartitions(), extPart_, owners);
-    net_->enableSharding(lanes, std::move(owners));
-}
-
-std::uint32_t
-Machine::curLane() const
-{
-    return ShardRuntime::currentLaneOr(
-        static_cast<std::uint32_t>(laneSeq_.size()));
-}
-
-std::uint64_t
-Machine::nextSeqFor()
-{
-    if (!sharded_)
-        return nextSeq_++;
-    const std::uint32_t l = curLane();
-    return (static_cast<std::uint64_t>(l + 1) << 40) |
-           laneSeq_[l]++;
-}
-
-VillageId
-Machine::pickInstance(ServiceId service)
-{
-    return sharded_ ? serviceMap_.pickLane(service, curLane())
-                    : serviceMap_.pick(service);
-}
-
 VillageId
 Machine::pickDispatch(ServiceId service, Tick &probe_delay)
 {
     probe_delay = 0;
     if (nicPolicy_ == nullptr)
-        return pickInstance(service);
+        return serviceMap_.pick(service);
     // The probe reads total entry occupancy (running + blocked +
     // ready, plus NIC overflow), not just the ready backlog: at
     // moderate load ready counts tie at zero almost everywhere and
@@ -413,33 +350,6 @@ ReadyList::KeyFn
 Machine::laxityKey() const
 {
     return [this](const ServiceRequest &r) { return laxityOf(r); };
-}
-
-std::uint64_t
-Machine::completedRequests() const
-{
-    std::uint64_t total = completed_;
-    for (const std::uint64_t n : laneCompleted_)
-        total += n;
-    return total;
-}
-
-std::uint64_t
-Machine::rejectedRequests() const
-{
-    std::uint64_t total = rejected_;
-    for (const std::uint64_t n : laneRejected_)
-        total += n;
-    return total;
-}
-
-std::uint64_t
-Machine::shedRequests() const
-{
-    std::uint64_t total = shedNoPath_;
-    for (const std::uint64_t n : laneShed_)
-        total += n;
-    return total;
 }
 
 void
@@ -526,7 +436,7 @@ Machine::externalArrival(ServiceRequest *req)
         v = pickDispatch(req->service(), probe_delay);
         t += probe_delay;
     }
-    eventq().schedule(t, evTagV(EvSrc::RpcNic, v),
+    eventq().schedule(t, EvTag{EvSrc::RpcNic},
                       [this, req, v, ext]() {
         UMANY_ATTRIB(AttribRegistry::active()->charge(
             *req, AttribComp::NicDispatch, curTick()));
@@ -554,7 +464,7 @@ Machine::localCall(ServiceRequest *child, VillageId from_village)
             // Depth probes delay the child's dispatch; round-robin
             // keeps the zero-delay direct path below.
             eventq().schedule(curTick() + probe_delay,
-                              evTagV(EvSrc::RpcNic, v),
+                              EvTag{EvSrc::RpcNic},
                               [this, child, v, from_village]() {
                 UMANY_ATTRIB(AttribRegistry::active()->charge(
                     *child, AttribComp::NicDispatch, curTick()));
@@ -576,14 +486,8 @@ Machine::localCall(ServiceRequest *child, VillageId from_village)
 void
 Machine::shedRequest(ServiceRequest *req, Tick ready_at)
 {
-    if (sharded_) {
-        const std::uint32_t l = curLane();
-        ++laneRejected_[l];
-        ++laneShed_[l];
-    } else {
-        ++rejected_;
-        ++shedNoPath_;
-    }
+    ++rejected_;
+    ++shedNoPath_;
     req->rejected = true;
     req->state = ReqState::Rejected;
     req->finishedAt = curTick();
@@ -599,21 +503,21 @@ Machine::shedRequest(ServiceRequest *req, Tick ready_at)
         const Tick t = ready_at + topNic_->extLatency();
         UMANY_ATTRIB(AttribRegistry::active()->charge(
             *req, AttribComp::NicDispatch, t));
-        eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+        eventq().schedule(t, EvTag{EvSrc::RpcNic},
                           [this, req]() { onRootComplete(req); });
     } else if (req->parent->server == self_) {
         ServiceRequest *parent = req->parent;
         UMANY_ATTRIB(AttribRegistry::active()->charge(
             *req, AttribComp::NicDispatch, ready_at));
         eventq().schedule(ready_at,
-                          evTagV(EvSrc::RpcNic, parent->village),
+                          EvTag{EvSrc::RpcNic},
                           [this, parent, req]() {
             deliverChildResponse(parent, req);
         });
     } else {
         UMANY_ATTRIB(AttribRegistry::active()->charge(
             *req, AttribComp::NicDispatch, ready_at));
-        eventq().schedule(ready_at, evTagExt(EvSrc::RpcNic),
+        eventq().schedule(ready_at, EvTag{EvSrc::RpcNic},
                           [this, req]() {
             onRemoteChildFinished(req);
         });
@@ -634,13 +538,13 @@ Machine::villageIngress(ServiceRequest *req, VillageId v)
     });
     req->pendingOverhead += vil.nic->rxCoreCycles();
     if (req->seq == 0)
-        req->seq = nextSeqFor();
+        req->seq = nextSeq_++;
     Tick t = curTick() + vil.nic->rxLatency();
     // Software machines route every arriving request through the
     // centralized dispatcher before it can be queued (§4.4).
     if (p_.sched == MachineParams::Sched::SwQueue)
         t = dispatcher_->process(t);
-    eventq().schedule(t, evTagV(EvSrc::SchedDispatch, v),
+    eventq().schedule(t, EvTag{EvSrc::SchedDispatch},
                       [this, req]() { enqueueFresh(req); });
 }
 
@@ -675,7 +579,7 @@ Machine::enqueueFresh(ServiceRequest *req)
                                 : queueOfVillage(v);
     req->queueId = q;
     const Tick done = swq_->enqueue(q, req->seq, req, curTick());
-    eventq().schedule(done, evTagV(EvSrc::SchedDispatch, v),
+    eventq().schedule(done, EvTag{EvSrc::SchedDispatch},
                       [this, q]() { tryWakeQueue(q); });
 }
 
@@ -700,7 +604,7 @@ Machine::reEnqueue(ServiceRequest *req)
     }
     const std::uint32_t q = req->queueId;
     const Tick done = swq_->enqueue(q, req->seq, req, curTick());
-    eventq().schedule(done, evTagV(EvSrc::SchedDispatch, v),
+    eventq().schedule(done, EvTag{EvSrc::SchedDispatch},
                       [this, q]() { tryWakeQueue(q); });
 }
 
@@ -746,7 +650,7 @@ Machine::corePickup(CoreId core, bool allow_steal)
                 // then re-checks its home RQ once (no second steal
                 // walk, so an empty machine quiesces).
                 eventq().schedule(
-                    done, evTagC(EvSrc::SchedDispatch, core),
+                    done, EvTag{EvSrc::SchedDispatch},
                     [this, core]() { corePickup(core, false); });
                 return;
             }
@@ -758,7 +662,7 @@ Machine::corePickup(CoreId core, bool allow_steal)
             // Failed steal probes serialized on victim locks until
             // `done`; the core is not idle for that window.
             eventq().schedule(
-                done, evTagC(EvSrc::SchedDispatch, core),
+                done, EvTag{EvSrc::SchedDispatch},
                 [this, core]() { corePickup(core, false); });
             return;
         }
@@ -823,8 +727,7 @@ void
 Machine::startRun(CoreId core, ServiceRequest *req, Tick ready_at,
                   bool stolen)
 {
-    // Policy accounting (serial-mode only: non-rr policies never
-    // shard, so these counters see no concurrent writers).
+    // Policy accounting.
     if (dkind_ != DispatchKind::RoundRobin && !stolen)
         ++directDispatches_;
     cores_[core].beginWork(req, curTick());
@@ -870,7 +773,7 @@ Machine::startRun(CoreId core, ServiceRequest *req, Tick ready_at,
         if (bytes > 0) {
             const VillageId from = villageOfCore(last);
             const VillageId to = villageOfCore(core);
-            eventq().schedule(t, evTagV(EvSrc::MemCoherence, to),
+            eventq().schedule(t, EvTag{EvSrc::MemCoherence},
                               [this, core, req, from, to,
                                bytes]() {
                 sendIcn(villageEndpoint(from), villageEndpoint(to),
@@ -884,7 +787,7 @@ Machine::startRun(CoreId core, ServiceRequest *req, Tick ready_at,
         }
     }
 
-    eventq().schedule(t, evTagC(EvSrc::CoreRun, core),
+    eventq().schedule(t, EvTag{EvSrc::CoreRun},
                       [this, core, req]() {
         runSegment(core, req);
     });
@@ -948,9 +851,8 @@ Machine::runSegment(CoreId core, ServiceRequest *req)
         if (bytes >= 64) {
             EndpointId dst;
             if (coherence_.scope() == CoherenceScope::Global) {
-                Rng &r = sharded_ ? laneRng_[curLane()] : rng_;
                 VillageId dv = static_cast<VillageId>(
-                    r.below(villages_.size()));
+                    rng_.below(villages_.size()));
                 dst = villageEndpoint(dv);
             } else {
                 const Cluster &cl =
@@ -968,7 +870,7 @@ Machine::runSegment(CoreId core, ServiceRequest *req)
         }
     }
 
-    eventq().scheduleAfter(dur, evTagC(EvSrc::CoreRun, core),
+    eventq().scheduleAfter(dur, EvTag{EvSrc::CoreRun},
                            [this, core, req, sliced, slice_ref]() {
         if (sliced) {
             sliceDone(core, req, slice_ref);
@@ -1011,7 +913,7 @@ Machine::sliceDone(CoreId core, ServiceRequest *req, Tick slice_ref)
     req->state = ReqState::Ready;
     req->enqueuedAt = t;
     UMANY_INVARIANT(InvariantChecker::active()->onPreempt(*req));
-    eventq().schedule(t, evTagV(EvSrc::CtxSwitch, req->village),
+    eventq().schedule(t, EvTag{EvSrc::CtxSwitch},
                       [this, core, req]() {
         villages_[req->village].rq->makeReady(req->seq, req);
         releaseCore(core);
@@ -1031,7 +933,7 @@ Machine::segmentDone(CoreId core, ServiceRequest *req)
             t += cyc(static_cast<double>(p_.rq.completeCycles));
         UMANY_ATTRIB(AttribRegistry::active()->charge(
             *req, AttribComp::NicDispatch, t));
-        eventq().schedule(t, evTagV(EvSrc::ReqComplete, v),
+        eventq().schedule(t, EvTag{EvSrc::ReqComplete},
                           [this, core, req, v]() {
             finishRequest(req, v);
             releaseCore(core);
@@ -1073,7 +975,7 @@ Machine::segmentDone(CoreId core, ServiceRequest *req)
         UMANY_ATTRIB(AttribRegistry::active()->charge(
             *req, AttribComp::CtxSwitch, t));
     }
-    eventq().schedule(t, evTagV(EvSrc::CtxSwitch, v),
+    eventq().schedule(t, EvTag{EvSrc::CtxSwitch},
                       [this, core, req, v]() {
         issueCallGroup(req, v);
         releaseCore(core);
@@ -1101,7 +1003,7 @@ Machine::issueCallGroup(ServiceRequest *req, VillageId v)
                                                  step.requestBytes);
                         t += rnic_->sendPenalty();
                         t += topNic_->extLatency();
-                        eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+                        eventq().schedule(t, EvTag{EvSrc::RpcNic},
                                           [this, req, step]() {
                             onStorageCall(req, step);
                         });
@@ -1121,10 +1023,7 @@ Machine::finishRequest(ServiceRequest *req, VillageId v)
     req->state = ReqState::Finished;
     req->finishedAt = curTick();
     UMANY_INVARIANT(InvariantChecker::active()->onComplete(*req));
-    if (sharded_)
-        ++laneCompleted_[curLane()];
-    else
-        ++completed_;
+    ++completed_;
     villages_[v].nic->countTx();
 
     if (p_.sched == MachineParams::Sched::HwRq) {
@@ -1152,7 +1051,7 @@ Machine::finishRequest(ServiceRequest *req, VillageId v)
                     t += rnic_->sendPenalty() + topNic_->extLatency();
                     UMANY_ATTRIB(AttribRegistry::active()->charge(
                         *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
                                       [this, req]() {
                         onRootComplete(req);
                     });
@@ -1176,7 +1075,7 @@ Machine::finishRequest(ServiceRequest *req, VillageId v)
                     t += rnic_->sendPenalty();
                     UMANY_ATTRIB(AttribRegistry::active()->charge(
                         *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
                                       [this, req]() {
                         onRemoteChildFinished(req);
                     });
@@ -1206,7 +1105,7 @@ Machine::deliverChildResponse(ServiceRequest *parent,
     parent->pendingChildren -= 1;
     if (parent->pendingChildren == 0) {
         eventq().schedule(
-            t, evTagV(EvSrc::ReqComplete, parent->village),
+            t, EvTag{EvSrc::ReqComplete},
             [this, parent]() { responseProcessed(parent); });
     }
 }
@@ -1216,7 +1115,7 @@ Machine::externalResponse(ServiceRequest *parent, std::uint32_t bytes)
 {
     const Tick t0 = topNic_->ingress(curTick(), bytes);
     rnic_->onAck();
-    eventq().schedule(t0, evTagV(EvSrc::RpcNic, parent->village),
+    eventq().schedule(t0, EvTag{EvSrc::RpcNic},
                       [this, parent, bytes]() {
         sendIcn(topo_->externalEndpoint(),
                 villageEndpoint(parent->village), bytes,
@@ -1233,8 +1132,7 @@ Machine::externalResponse(ServiceRequest *parent, std::uint32_t bytes)
                     if (parent->pendingChildren == 0) {
                         eventq().schedule(
                             t,
-                            evTagV(EvSrc::ReqComplete,
-                                   parent->village),
+                            EvTag{EvSrc::ReqComplete},
                             [this, parent]() {
                                 responseProcessed(parent);
                             });
@@ -1247,23 +1145,17 @@ void
 Machine::outboundRequest(ServiceRequest *req, VillageId from,
                          std::function<void()> on_exit)
 {
-    // The R-NIC counters belong to the shared (external) lane; when
-    // sharded, bump them at package egress — the delivery callback
-    // below runs in that lane — not here in the village's lane.
-    if (!sharded_)
-        rnic_->onSend();
+    rnic_->onSend();
     sendIcn(villageEndpoint(from), topo_->externalEndpoint(),
             req->reqBytes, MsgClass::Request,
             [this, req, on_exit = std::move(on_exit)]() {
-                if (sharded_)
-                    rnic_->onSend();
                 UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
                     *req, net_->lastDelivery(), curTick()));
                 Tick t = topNic_->egress(curTick(), req->reqBytes);
                 t += rnic_->sendPenalty();
                 UMANY_ATTRIB(AttribRegistry::active()->charge(
                     *req, AttribComp::NicDispatch, t));
-                eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+                eventq().schedule(t, EvTag{EvSrc::RpcNic},
                                   on_exit);
             });
 }
@@ -1282,7 +1174,7 @@ Machine::responseProcessed(ServiceRequest *parent)
         const Tick t = dispatcher_->process(
             curTick(), p_.dispatcher.opCycles + p_.cs.restoreCycles);
         eventq().schedule(t,
-                          evTagV(EvSrc::CtxSwitch, parent->village),
+                          EvTag{EvSrc::CtxSwitch},
                           [this, parent]() { reEnqueue(parent); });
         return;
     }
@@ -1292,10 +1184,7 @@ Machine::responseProcessed(ServiceRequest *parent)
 void
 Machine::rejectRequest(ServiceRequest *req)
 {
-    if (sharded_)
-        ++laneRejected_[curLane()];
-    else
-        ++rejected_;
+    ++rejected_;
     req->rejected = true;
     UMANY_TRACE(traceReqTransition(curTick(), *req,
                                    ReqState::Rejected,
@@ -1317,7 +1206,7 @@ Machine::rejectRequest(ServiceRequest *req)
                         topNic_->extLatency();
                     UMANY_ATTRIB(AttribRegistry::active()->charge(
                         *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
                                       [this, req]() {
                         onRootComplete(req);
                     });
@@ -1336,7 +1225,7 @@ Machine::rejectRequest(ServiceRequest *req)
                     const Tick t = topNic_->egress(curTick(), 128);
                     UMANY_ATTRIB(AttribRegistry::active()->charge(
                         *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, evTagExt(EvSrc::RpcNic),
+                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
                                       [this, req]() {
                         onRemoteChildFinished(req);
                     });

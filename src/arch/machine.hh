@@ -176,16 +176,8 @@ class Machine : public SimObject
     void setVillageUp(VillageId v, bool up);
 
     /** Requests shed at the NIC for lack of a reachable instance. */
-    std::uint64_t shedRequests() const;
+    std::uint64_t shedRequests() const { return shedNoPath_; }
     /** @} */
-
-    /**
-     * Enable parallel-DES sharding (sim/shard.hh): per-lane sequence
-     * counters, RNG streams, stat counters, and service round-robin
-     * cursors replace the shared ones, and the NoC switches to
-     * owner-lane hop processing. Must run before traffic flows.
-     */
-    void enableSharding(std::uint32_t lanes);
 
     /** @name Entry points @{ */
     /**
@@ -255,8 +247,8 @@ class Machine : public SimObject
     /** Per-village execution-time factor (heterogeneous villages). */
     double villagePerfFactor(VillageId v) const;
 
-    std::uint64_t completedRequests() const;
-    std::uint64_t rejectedRequests() const;
+    std::uint64_t completedRequests() const { return completed_; }
+    std::uint64_t rejectedRequests() const { return rejected_; }
     std::uint64_t contextSwitches() const;
 
     /** @name Dispatch-policy introspection @{ */
@@ -319,8 +311,7 @@ class Machine : public SimObject
     std::uint64_t rejected_ = 0;
     std::uint64_t shedNoPath_ = 0;
 
-    /** @name Dispatch policy (serial-mode only; non-rr policies are
-     *  ineligible for sharding) @{ */
+    /** @name Dispatch policy @{ */
     DispatchKind dkind_ = DispatchKind::RoundRobin;
     std::unique_ptr<NicDispatchPolicy> nicPolicy_;
     /** Per-village deterministic steal cursor over siblings. */
@@ -333,28 +324,6 @@ class Machine : public SimObject
     std::uint64_t preempts_ = 0;
     /** @} */
 
-    /** @name Parallel-DES mode @{ */
-    bool sharded_ = false;
-    /** Partition of the shared lane (== numClusters). */
-    std::uint16_t extPart_ = evPartNone;
-    /**
-     * Per-lane sequence counters with disjoint value ranges: every
-     * village's requests are numbered from its own lane, so the seq
-     * order each RQ observes stays monotone (FCFS-correct) and
-     * independent of the shard count.
-     */
-    std::vector<std::uint64_t> laneSeq_;
-    std::vector<std::uint64_t> laneCompleted_;
-    std::vector<std::uint64_t> laneRejected_;
-    std::vector<std::uint64_t> laneShed_;
-    std::vector<Rng> laneRng_;  //!< Coherence-destination picks.
-
-    std::uint32_t curLane() const;
-    std::uint64_t nextSeqFor();
-    /** Round-robin instance pick; per-lane cursor when sharded. */
-    VillageId pickInstance(ServiceId service);
-    /** @} */
-
     /** @name Construction helpers @{ */
     void buildTopology();
     void buildStructure();
@@ -365,22 +334,6 @@ class Machine : public SimObject
     {
         return cyclesToTicks(cycles, p_.core.ghz);
     }
-    /** @} */
-
-    /** @name Event-tag helpers (self-profiling taxonomy) @{ */
-    EvTag
-    evTagV(EvSrc s, VillageId v) const
-    {
-        return EvTag{
-            s, static_cast<std::uint16_t>(clusterOfVillage(v))};
-    }
-    EvTag
-    evTagC(EvSrc s, CoreId c) const
-    {
-        return evTagV(s, villageOfCore(c));
-    }
-    /** Event on the shared lane (NIC, external fabric, storage). */
-    EvTag evTagExt(EvSrc s) const { return EvTag{s, extPart_}; }
     /** @} */
 
     /** @name Lifecycle steps @{ */
@@ -411,7 +364,7 @@ class Machine : public SimObject
      * Policy-aware instance pick. Probing policies (po2c/jsqd) read
      * candidate RQ depths and return the probe cost in
      * @p probe_delay; round-robin leaves it zero and is
-     * byte-identical to pickInstance().
+     * byte-identical to ServiceMap::pick().
      */
     VillageId pickDispatch(ServiceId service, Tick &probe_delay);
     /**

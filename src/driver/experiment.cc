@@ -12,7 +12,6 @@
 #include "obs/sampler.hh"
 #include "obs/simprof.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "stats/metrics_registry.hh"
 #include "validate/invariants.hh"
 
@@ -169,58 +168,18 @@ printRunSummary(ClusterSim &sim, const EventQueue &eq, bool drained,
     }
 }
 
-/**
- * Why a shards > 1 request cannot run in parallel mode, or null
- * when it can. The parallel mode hosts exactly the hardware-RQ
- * fast path: anything that routes through machine-global mutable
- * state from arbitrary lanes (software scheduling, faults, the
- * single-writer observers) must stay on the serial kernel.
- */
-const char *
-shardBlocker(const ExperimentConfig &cfg, bool tracing,
-             bool attributing)
-{
-#if UMANY_INVARIANTS_ENABLED
-    (void)cfg;
-    (void)tracing;
-    (void)attributing;
-    return "invariant auditors walk cross-lane state";
-#else
-    if (cfg.machine.sched != MachineParams::Sched::HwRq)
-        return "software queues serialize through shared scheduler "
-               "state";
-    if (cfg.machine.cs.scheme != CsScheme::HardwareRq)
-        return "software context switching serializes through the "
-               "dispatcher";
-    if (cfg.machine.dispatch.kind != DispatchKind::RoundRobin)
-        return "non-round-robin dispatch reads cross-lane queue "
-               "state";
-    if (!cfg.faults.empty())
-        return "fault injection mutates machine-global state";
-    if (tracing)
-        return "the trace sink is a single-writer buffer";
-    if (attributing)
-        return "the attribution registry is thread-local";
-    if (cfg.obs.sampleInterval > 0)
-        return "the sampler reads cross-lane state mid-run";
-    return nullptr;
-#endif
-}
-
 } // namespace
-
-const char *
-shardBlockerReason(const ExperimentConfig &cfg, bool tracing,
-                   bool attributing)
-{
-    return shardBlocker(cfg, tracing, attributing);
-}
 
 RunMetrics
 runExperiment(const ServiceCatalog &catalog,
               const ExperimentConfig &cfg, StatsDump *stats_out,
               AttribResult *attrib_out)
 {
+    if (cfg.shards != 1) {
+        fatal("shards=%u: only the serial kernel exists (shards=1)",
+              static_cast<unsigned>(cfg.shards));
+    }
+
     // Tracing is scoped to the run: install a sink before the
     // cluster is built so every lifecycle event lands in it, and
     // restore the previous sink on exit.
@@ -271,24 +230,6 @@ runExperiment(const ServiceCatalog &catalog,
     if (!cfg.faults.empty())
         FaultInjector::arm(eq, sim, cfg.faults);
 
-    // Parallel-DES eligibility: the partition-determinized mode only
-    // hosts the hardware-RQ fast path; anything else falls back to
-    // the serial kernel so the run still completes.
-    std::uint32_t shards = cfg.shards;
-    if (shards > 1) {
-        if (const char *blk = shardBlocker(cfg, tracing,
-                                           attributing)) {
-            warn("--shards=%u unavailable (%s); running serial",
-                 static_cast<unsigned>(shards), blk);
-            shards = 1;
-        }
-    }
-    // Everything with no cluster affinity (arrivals, warmup flips,
-    // external fabric) lives in the shared partition bucket past the
-    // last cluster, so the parallel mode can give it its own lane.
-    const std::uint16_t ext_part =
-        static_cast<std::uint16_t>(sim.machine(0).numClusters());
-
     std::unique_ptr<Sampler> sampler;
     if (cfg.obs.sampleInterval > 0) {
         sampler = std::make_unique<Sampler>(eq, sim,
@@ -304,77 +245,20 @@ runExperiment(const ServiceCatalog &catalog,
     lp.start = 0;
     lp.stop = cfg.warmup + cfg.measure;
     lp.seed = cfg.seed;
-    lp.partition = ext_part;
     LoadGenerator gen(eq, catalog, lp, [&sim](ServiceId ep) {
         sim.submitRoot(ep);
     });
     gen.start();
 
     sim.setRecording(false);
-    eq.schedule(cfg.warmup, EvTag{EvSrc::Kernel, ext_part},
+    eq.schedule(cfg.warmup, EvTag{EvSrc::Kernel},
                 [&sim]() { sim.setRecording(true); });
-
-    // Parallel mode: determinize the model's per-lane state, then
-    // hand the queue to the window-loop runtime. Must come after
-    // every pre-run schedule so attach() can split the full pending
-    // set into lanes.
-    std::unique_ptr<ShardRuntime> shardrt;
-    std::vector<std::unique_ptr<SimProfiler>> laneProfs;
-    if (shards > 1) {
-        const std::uint32_t clusters = sim.machine(0).numClusters();
-        sim.enableSharding(clusters + 1, cfg.warmup);
-        Tick window = cfg.shardWindow;
-        if (window == 0) {
-            // Auto lookahead: no cross-cluster effect can land
-            // sooner than the cheapest cross-cluster ICN traversal.
-            const Machine &m0 = sim.machine(0);
-            window = minCrossPartitionLatency(
-                m0.topology(), m0.network().endpointPartitions(),
-                clusters);
-            if (window == 0)
-                window = 1;
-        }
-        ShardRuntime::Params sp;
-        sp.clusters = clusters;
-        sp.shards = shards;
-        sp.window = window;
-        shardrt = std::make_unique<ShardRuntime>(eq, sp);
-        shardrt->attach();
-        if (simprof) {
-            // One profiler per lane (no hot-path atomics); merged
-            // into the main profile after detach.
-            laneProfs.resize(shardrt->laneCount());
-            for (std::uint32_t l = 0; l < shardrt->laneCount();
-                 ++l) {
-                laneProfs[l] = std::make_unique<SimProfiler>();
-                shardrt->setLaneProfiler(l, laneProfs[l].get());
-            }
-        }
-    }
 
     // Run through the load window, then drain in-flight requests
     // (bounded, so saturated configurations still terminate).
     const bool drained = runWithProgress(
         eq, cfg.warmup + cfg.measure + cfg.drainLimit,
         cfg.obs.progressSec);
-    if (shardrt) {
-        std::fprintf(stderr,
-                     "[shards] %u workers x %u lanes | window %.3f "
-                     "us | %llu windows | %llu cross-lane events "
-                     "(%llu clamped, max clamp %.3f us)\n",
-                     shardrt->shardCount(), shardrt->laneCount(),
-                     static_cast<double>(shardrt->window()) /
-                         tickPerUs,
-                     static_cast<unsigned long long>(
-                         shardrt->windowsRun()),
-                     static_cast<unsigned long long>(
-                         shardrt->crossLaneEvents()),
-                     static_cast<unsigned long long>(
-                         shardrt->clampedEvents()),
-                     static_cast<double>(shardrt->maxClampTicks()) /
-                         tickPerUs);
-        shardrt->detach();
-    }
     if (!drained) {
         warn("experiment '%s' hit the drain limit with %zu events "
              "and %llu requests pending",
@@ -397,23 +281,6 @@ runExperiment(const ServiceCatalog &catalog,
     if (simprof) {
         eq.setProfiler(nullptr);
         simprof->finalize();
-        // Parallel mode: each lane profiled itself; fold the lane
-        // views into the main profile so the report covers the
-        // whole run regardless of shard count.
-        for (const auto &lp2 : laneProfs) {
-            lp2->finalize();
-            simprof->mergeFrom(*lp2);
-        }
-        // Partitionability context comes from server 0: every server
-        // shares one MachineParams, so the cluster count and the
-        // conservative-DES lookahead bound are identical across the
-        // fleet.
-        const Machine &m0 = sim.machine(0);
-        simprof->setPartitionInfo(
-            m0.numClusters(),
-            minCrossPartitionLatency(
-                m0.topology(), m0.network().endpointPartitions(),
-                m0.numClusters()));
         writeTextFile(cfg.obs.simProfile, simprof->toJson());
         std::fputs(simprof->formatTable().c_str(), stderr);
     }
@@ -532,21 +399,18 @@ contentionFreeAverages(const ServiceCatalog &catalog,
 
     EventQueue eq;
     ClusterSim sim(eq, catalog, cfg.machine, cfg.cluster);
-    const std::uint16_t ext_part =
-        static_cast<std::uint16_t>(sim.machine(0).numClusters());
 
     LoadGenParams lp;
     lp.rps = cfg.rpsPerServer *
              static_cast<double>(cfg.cluster.numServers);
     lp.stop = cfg.warmup + cfg.measure;
     lp.seed = cfg.seed ^ 0xc0ffeeull;
-    lp.partition = ext_part;
     LoadGenerator gen(eq, catalog, lp, [&sim](ServiceId ep) {
         sim.submitRoot(ep);
     });
     gen.start();
     sim.setRecording(false);
-    eq.schedule(cfg.warmup, EvTag{EvSrc::Kernel, ext_part},
+    eq.schedule(cfg.warmup, EvTag{EvSrc::Kernel},
                 [&sim]() { sim.setRecording(true); });
     eq.runUntil(cfg.warmup + cfg.measure + cfg.drainLimit);
 

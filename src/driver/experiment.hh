@@ -100,22 +100,13 @@ struct ExperimentConfig
     Tick drainLimit = fromSec(3.0);
     std::uint64_t seed = 0xfeedbeefull;
     /**
-     * Parallel-DES worker threads (sim/shard.hh). 1 = the serial
-     * kernel, byte-identical to every pre-sharding golden. N > 1
-     * runs the partition-determinized parallel mode: results are
-     * identical for any N but not tick-identical to the serial
-     * kernel (cross-cluster events defer to window horizons). Falls
-     * back to 1 with a warning when the configuration needs
-     * machinery the parallel mode cannot host (software scheduling,
-     * faults, tracing, attribution, sampling, invariants).
+     * Number of event kernels. 1, the serial kernel, is the only
+     * accepted value: runExperiment() and runRackExperiment() fail
+     * on any other. The field stays only because the benchmark
+     * (perfbench/workloads.cc) assigns it and records it in its
+     * provenance.
      */
     std::uint32_t shards = 1;
-    /**
-     * Sync-window width in ticks for shards > 1. 0 = auto: the
-     * minimum cross-cluster ICN latency (the profiler's
-     * conservative-DES lookahead bound).
-     */
-    Tick shardWindow = 0;
     /** Optional per-endpoint QoS thresholds (§6.5). */
     std::map<ServiceId, Tick> qosThresholds;
     /** Scheduled fault events (empty = fully healthy run). */
@@ -136,15 +127,6 @@ RunMetrics runExperiment(const ServiceCatalog &catalog,
                          const ExperimentConfig &cfg,
                          StatsDump *stats_out = nullptr,
                          AttribResult *attrib_out = nullptr);
-
-/**
- * Why a shards > 1 run with this configuration would fall back to
- * the serial kernel, or nullptr when it is parallel-eligible.
- * @param tracing Whether a trace sink would be installed.
- * @param attributing Whether the attribution registry would be on.
- */
-const char *shardBlockerReason(const ExperimentConfig &cfg,
-                               bool tracing, bool attributing);
 
 /**
  * Contention-free per-endpoint average execution time: a low-load

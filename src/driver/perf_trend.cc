@@ -63,10 +63,6 @@ perfMetricSpecs()
          0.0},
         {"sweep.speedup", PerfDirection::HigherIsBetter, false,
          0.0},
-        {"shard_scaling.wall_ms_shards1",
-         PerfDirection::LowerIsBetter, false, 0.0},
-        {"shard_scaling.speedup_shards8",
-         PerfDirection::HigherIsBetter, false, 0.0},
     };
     return specs;
 }

@@ -118,12 +118,8 @@ FaultInjector::arm(EventQueue &eq, ClusterSim &sim,
                 sim.machine(s).armFaults();
         }
     }
-    // Fault flips touch whole machines, so they belong to the
-    // shared/external partition bucket (past the last cluster).
-    const std::uint16_t ext_part = static_cast<std::uint16_t>(
-        sim.machine(0).numClusters());
     for (const FaultEvent &e : plan.events) {
-        eq.schedule(e.at, EvTag{EvSrc::Fault, ext_part},
+        eq.schedule(e.at, EvTag{EvSrc::Fault},
                     [&sim, e]() { applyNow(sim, e); });
     }
 }

@@ -137,54 +137,6 @@ LeafSpine::pathDiversity(std::uint32_t leaf_a, std::uint32_t leaf_b) const
            p_.spinesPerPod;
 }
 
-void
-LeafSpine::linkOwners(
-    const std::vector<std::uint16_t> &endpoint_parts,
-    std::uint16_t shared_part, std::vector<std::uint16_t> &out) const
-{
-    // Default everything (spine<->L3 fabric) to the shared lane,
-    // then pull leaf-local links onto their cluster's lane.
-    out.assign(links_.size(), shared_part);
-
-    // A leaf belongs to a cluster only when all its endpoints agree;
-    // otherwise its links stay shared (still correct, just serial).
-    const std::uint32_t eps = p_.numLeaves * p_.endpointsPerLeaf;
-    auto partOfLeaf = [&](std::uint32_t leaf) -> std::uint16_t {
-        const std::uint32_t first = leaf * p_.endpointsPerLeaf;
-        if (first >= endpoint_parts.size())
-            return shared_part;
-        const std::uint16_t part = endpoint_parts[first];
-        for (std::uint32_t i = 1; i < p_.endpointsPerLeaf; ++i) {
-            const std::uint32_t ep = first + i;
-            if (ep >= endpoint_parts.size() ||
-                endpoint_parts[ep] != part)
-                return shared_part;
-        }
-        return part;
-    };
-
-    for (std::uint32_t ep = 0; ep < eps; ++ep) {
-        if (ep >= endpoint_parts.size())
-            break;
-        out[accessUp_[ep]] = endpoint_parts[ep];
-        out[accessDown_[ep]] = endpoint_parts[ep];
-    }
-    for (std::uint32_t leaf = 0; leaf < p_.numLeaves; ++leaf) {
-        const std::uint16_t part = partOfLeaf(leaf);
-        // Up/down legs are indexed by the leaf that routes through
-        // them (src leaf up, dst leaf down), so each link is only
-        // ever touched by its own leaf's cluster.
-        for (std::uint32_t s = 0; s < p_.spinesPerPod; ++s) {
-            const std::size_t idx =
-                static_cast<std::size_t>(leaf) * p_.spinesPerPod + s;
-            out[leafToSpine_[idx]] = part;
-            out[spineToLeaf_[idx]] = part;
-        }
-        out[nicToLeaf_[leaf]] = part;
-        out[leafToNic_[leaf]] = part;
-    }
-}
-
 bool
 LeafSpine::route(EndpointId src, EndpointId dst, Rng &rng,
                  std::vector<LinkId> &out,

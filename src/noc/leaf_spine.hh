@@ -48,17 +48,6 @@ class LeafSpine : public Topology
                std::vector<LinkId> &out,
                const FaultState *faults = nullptr) const override;
 
-    /**
-     * Cluster-local link ownership: access and NIC attach links plus
-     * both legs of every leaf<->spine pair belong to the cluster of
-     * the leaf they serve (the leaf appears in exactly one routed
-     * direction per link, so no two lanes ever touch one link); only
-     * the spine<->L3 fabric stays on the shared lane.
-     */
-    void linkOwners(const std::vector<std::uint16_t> &endpoint_parts,
-                    std::uint16_t shared_part,
-                    std::vector<std::uint16_t> &out) const override;
-
     std::uint32_t podOf(std::uint32_t leaf) const;
 
     /** Number of distinct NH-to-NH paths between two leaves. */

@@ -4,10 +4,8 @@
 #include <memory>
 
 #include "fault/fault_state.hh"
-#include "obs/simprof.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "validate/invariants.hh"
 
 namespace umany
@@ -34,76 +32,9 @@ msgClassName(MsgClass cls)
 Network::Network(std::string name, EventQueue &eq, const Topology &topo,
                  std::uint64_t seed)
     : SimObject(std::move(name), eq), topo_(topo), rng_(seed),
-      faultRng_(streamSeed(seed, rngstream::fault)), seed_(seed)
+      faultRng_(streamSeed(seed, rngstream::fault))
 {
     state_.assign(topo_.links().size(), LinkState{});
-}
-
-void
-Network::enableSharding(std::uint32_t lanes,
-                        std::vector<std::uint16_t> link_owners)
-{
-    if (sent_ != 0 || delivered_ != 0)
-        panic("Network sharding must be enabled before traffic");
-    if (link_owners.size() != topo_.links().size())
-        panic("link owner map covers %zu of %zu links",
-              link_owners.size(), topo_.links().size());
-    sharded_ = true;
-    linkOwner_ = std::move(link_owners);
-    laneStats_.clear();
-    laneRng_.clear();
-    const std::uint64_t base = streamSeed(seed_, rngstream::lane);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        laneStats_.push_back(std::make_unique<LaneStats>());
-        laneRng_.emplace_back(streamSeed(base, l));
-    }
-}
-
-std::uint32_t
-Network::currentLaneIdx() const
-{
-    return ShardRuntime::currentLaneOr(
-        static_cast<std::uint32_t>(laneStats_.size()));
-}
-
-std::uint64_t
-Network::messagesSent() const
-{
-    std::uint64_t n = sent_;
-    for (const auto &ls : laneStats_)
-        n += ls->sent;
-    return n;
-}
-
-std::uint64_t
-Network::messagesDelivered() const
-{
-    std::uint64_t n = delivered_;
-    for (const auto &ls : laneStats_)
-        n += ls->delivered;
-    return n;
-}
-
-const Histogram &
-Network::latencyHist() const
-{
-    if (!sharded_)
-        return latency_;
-    mergedLatency_ = latency_;
-    for (const auto &ls : laneStats_)
-        mergedLatency_.merge(ls->latency);
-    return mergedLatency_;
-}
-
-const Histogram &
-Network::queueDelayHist() const
-{
-    if (!sharded_)
-        return queueDelay_;
-    mergedQueueDelay_ = queueDelay_;
-    for (const auto &ls : laneStats_)
-        mergedQueueDelay_.merge(ls->queueDelay);
-    return mergedQueueDelay_;
 }
 
 void
@@ -116,18 +47,8 @@ void
 Network::send(const Message &msg, DeliverFn on_deliver,
               DropFn on_drop)
 {
-    if (sharded_) {
-        // Droppable sends only exist under fault plans, which the
-        // sharded eligibility gate excludes.
-        sendSharded(msg, std::move(on_deliver));
-        return;
-    }
     ++sent_;
     UMANY_INVARIANT(InvariantChecker::active()->onNetSend());
-    if (SimProfiler *sp = eventq().profiler()) {
-        sp->noteNocSend(partitionOf(msg.src), partitionOf(msg.dst),
-                        msg.bytes);
-    }
     auto flight = std::make_shared<Flight>();
     flight->msg = msg;
     flight->start = curTick();
@@ -144,9 +65,7 @@ Network::send(const Message &msg, DeliverFn on_deliver,
                 curTick(), tracePid_, traceIcnTrack, "icn.drop",
                 (static_cast<std::uint64_t>(msg.src) << 32) | msg.dst,
                 static_cast<double>(msg.bytes)));
-            scheduleAfter(0,
-                          EvTag{EvSrc::NocDeliver,
-                                partitionOf(msg.dst)},
+            scheduleAfter(0, EvTag{EvSrc::NocDeliver},
                           std::move(on_drop));
         } else {
             degrade(std::move(flight));
@@ -161,17 +80,11 @@ Network::send(const Message &msg, DeliverFn on_deliver,
                   msg.src, msg.dst);
         ++delivered_;
         UMANY_INVARIANT(InvariantChecker::active()->onNetDeliver());
-        if (SimProfiler *sp = eventq().profiler()) {
-            sp->noteNocDeliver(partitionOf(msg.src),
-                               partitionOf(msg.dst), msg.bytes);
-        }
         latency_.add(0);
         queueDelay_.add(0);
         traceDelivery(*flight);
         auto deliver = std::move(flight->deliver);
-        scheduleAfter(0,
-                      EvTag{EvSrc::NocDeliver, partitionOf(msg.dst)},
-                      std::move(deliver));
+        scheduleAfter(0, EvTag{EvSrc::NocDeliver}, std::move(deliver));
         return;
     }
     hop(std::move(flight));
@@ -215,11 +128,9 @@ Network::hop(std::shared_ptr<Flight> flight)
             spec.level, kIcnLevels - 1)] +=
         spec.latency + (last_hop ? ser : 0));
 
-    // Shared (not released raw): std::function requires a copyable
-    // capture, and shared ownership means flights pending in a
+    // Owned by the callback, not released raw: flights pending in a
     // destroyed event queue are freed rather than leaked.
-    const EvTag tag{last_hop ? EvSrc::NocDeliver : EvSrc::NocHop,
-                    partitionOf(flight->msg.dst)};
+    const EvTag tag{last_hop ? EvSrc::NocDeliver : EvSrc::NocHop};
     eventq().schedule(arrival, tag, [this, f = std::move(flight)]() {
         if (f->hop >= f->path.size()) {
             if (faults_ != nullptr &&
@@ -235,104 +146,6 @@ Network::hop(std::shared_ptr<Flight> flight)
             hop(f);
         }
     });
-}
-
-void
-Network::sendSharded(const Message &msg, DeliverFn on_deliver)
-{
-    const std::uint32_t lane = currentLaneIdx();
-    LaneStats &ls = *laneStats_[lane];
-    ++ls.sent;
-    if (SimProfiler *sp = eventq().profiler()) {
-        sp->noteNocSend(partitionOf(msg.src), partitionOf(msg.dst),
-                        msg.bytes);
-    }
-    auto flight = std::make_shared<Flight>();
-    flight->msg = msg;
-    flight->start = curTick();
-    flight->epoch = epoch_;
-    flight->deliver = std::move(on_deliver);
-    if (!topo_.route(msg.src, msg.dst, laneRng_[lane], flight->path,
-                     nullptr))
-        panic("unroutable %u -> %u without faults", msg.src, msg.dst);
-    if (flight->path.empty()) {
-        if (msg.src != msg.dst)
-            panic("empty route for distinct endpoints %u -> %u",
-                  msg.src, msg.dst);
-        ++ls.delivered;
-        if (SimProfiler *sp = eventq().profiler()) {
-            sp->noteNocDeliver(partitionOf(msg.src),
-                               partitionOf(msg.dst), msg.bytes);
-        }
-        ls.latency.add(0);
-        ls.queueDelay.add(0);
-        auto deliver = std::move(flight->deliver);
-        scheduleAfter(0,
-                      EvTag{EvSrc::NocDeliver, partitionOf(msg.dst)},
-                      std::move(deliver));
-        return;
-    }
-    // Unlike the serial path, hop 0 is not processed at the send
-    // site: every hop runs as an event in the owning lane of its
-    // link, so each link's state has exactly one mutating lane no
-    // matter which lane injected the message.
-    const EvTag tag{EvSrc::NocHop, linkOwner_[flight->path[0]]};
-    eventq().schedule(curTick(), tag,
-                      [this, f = std::move(flight)]() {
-                          hopSharded(f);
-                      });
-}
-
-void
-Network::hopSharded(const std::shared_ptr<Flight> &flight)
-{
-    const LinkId id = flight->path[flight->hop];
-    const LinkSpec &spec = topo_.links()[id];
-    LinkState &st = state_[id];
-
-    const Tick ser = spec.serializationTime(flight->msg.bytes);
-    Tick depart = curTick();
-    if (contention_) {
-        depart = std::max(depart, st.busyUntil);
-        st.busyUntil = depart + ser;
-    }
-    const Tick wait = depart - curTick();
-    flight->queued += wait;
-
-    st.messages += 1;
-    st.bytes += flight->msg.bytes;
-    st.busyTime += ser;
-    st.queueDelay += wait;
-
-    const bool last_hop = flight->hop + 1 == flight->path.size();
-    const Tick arrival = depart + spec.latency + (last_hop ? ser : 0);
-    flight->hop += 1;
-    if (last_hop) {
-        eventq().schedule(
-            arrival,
-            EvTag{EvSrc::NocDeliver, partitionOf(flight->msg.dst)},
-            [this, f = flight]() { finishDeliverySharded(*f); });
-    } else {
-        const EvTag tag{EvSrc::NocHop,
-                        linkOwner_[flight->path[flight->hop]]};
-        eventq().schedule(arrival, tag,
-                          [this, f = flight]() { hopSharded(f); });
-    }
-}
-
-void
-Network::finishDeliverySharded(const Flight &flight)
-{
-    LaneStats &ls = *laneStats_[currentLaneIdx()];
-    ++ls.delivered;
-    ls.latency.add(curTick() - flight.start);
-    ls.queueDelay.add(flight.queued);
-    if (SimProfiler *sp = eventq().profiler()) {
-        sp->noteNocDeliver(partitionOf(flight.msg.src),
-                           partitionOf(flight.msg.dst),
-                           flight.msg.bytes);
-    }
-    flight.deliver();
 }
 
 void
@@ -368,9 +181,7 @@ Network::degrade(std::shared_ptr<Flight> flight)
         (static_cast<std::uint64_t>(flight->msg.src) << 32) |
             flight->msg.dst,
         static_cast<double>(flight->msg.bytes)));
-    const EvTag tag{EvSrc::NocDeliver,
-                    partitionOf(flight->msg.dst)};
-    eventq().scheduleAfter(degradedPenalty, tag,
+    eventq().scheduleAfter(degradedPenalty, EvTag{EvSrc::NocDeliver},
                            [this, f = std::move(flight)]() {
                                finishDelivery(*f);
                            });
@@ -387,13 +198,6 @@ Network::finishDelivery(const Flight &flight)
         ++delivered_;
         latency_.add(curTick() - flight.start);
         queueDelay_.add(flight.queued);
-        // Matrix deliveries mirror delivered_ (same-window only) so
-        // its row/column sums reconcile with the net.* stats.
-        if (SimProfiler *sp = eventq().profiler()) {
-            sp->noteNocDeliver(partitionOf(flight.msg.src),
-                               partitionOf(flight.msg.dst),
-                               flight.msg.bytes);
-        }
     }
     UMANY_ATTRIB({
         lastDelivery_.queued = flight.queued;

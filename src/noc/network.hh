@@ -87,44 +87,11 @@ class Network : public SimObject
         return topo_.contentionFreeLatency(src, dst, bytes);
     }
 
-    /**
-     * Install the endpoint -> partition (ICN cluster) map used by
-     * the self-profiler's traffic matrix and event tags. Consulted
-     * only while a profiler is attached to the event queue.
-     */
-    void
-    setEndpointPartitions(std::vector<std::uint16_t> parts)
-    {
-        partOf_ = std::move(parts);
-    }
-    const std::vector<std::uint16_t> &endpointPartitions() const
-    {
-        return partOf_;
-    }
-    /** Partition of @p ep; evPartNone when no map is installed. */
-    std::uint16_t
-    partitionOf(EndpointId ep) const
-    {
-        return ep < partOf_.size() ? partOf_[ep] : evPartNone;
-    }
-
     const Topology &topology() const { return topo_; }
 
-    /**
-     * Enable parallel-DES sharding (sim/shard.hh): per-lane ECMP RNG
-     * streams and stat accumulators, and hop processing as events in
-     * the owning lane of each link (per @p link_owners, produced by
-     * Topology::linkOwners) instead of synchronously at the sender —
-     * so every link's state has exactly one mutating lane. Must be
-     * called before any traffic flows; there is no way back.
-     */
-    void enableSharding(std::uint32_t lanes,
-                        std::vector<std::uint16_t> link_owners);
-    bool sharded() const { return sharded_; }
-
-    /** @name Statistics (lane-merged when sharded) @{ */
-    std::uint64_t messagesDelivered() const;
-    std::uint64_t messagesSent() const;
+    /** @name Statistics @{ */
+    std::uint64_t messagesDelivered() const { return delivered_; }
+    std::uint64_t messagesSent() const { return sent_; }
     /** Messages dropped for lack of a live path (droppable sends). */
     std::uint64_t messagesDropped() const { return droppedNoPath_; }
     /** Source retransmissions after a mid-flight link death. */
@@ -133,8 +100,8 @@ class Network : public SimObject
     std::uint64_t corruptRetransmits() const { return corruptRetx_; }
     /** Deliveries that fell back to the degraded fixed penalty. */
     std::uint64_t degradedDeliveries() const { return degraded_; }
-    const Histogram &latencyHist() const;
-    const Histogram &queueDelayHist() const;
+    const Histogram &latencyHist() const { return latency_; }
+    const Histogram &queueDelayHist() const { return queueDelay_; }
     const std::vector<LinkState> &linkStates() const { return state_; }
 
     /**
@@ -178,13 +145,11 @@ class Network : public SimObject
     const Topology &topo_;
     Rng rng_;
     Rng faultRng_;  //!< Corruption draws; untouched when disabled.
-    std::uint64_t seed_;
     bool contention_ = true;
     std::uint32_t tracePid_ = 0;
     const FaultState *faults_ = nullptr;
 
     std::vector<LinkState> state_;
-    std::vector<std::uint16_t> partOf_;  //!< Endpoint -> cluster.
     std::uint64_t sent_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t droppedNoPath_ = 0;
@@ -217,28 +182,6 @@ class Network : public SimObject
     };
 
     IcnDeliveryDetail lastDelivery_;
-
-    /** @name Parallel-DES mode @{ */
-    /** Per-lane stats: only the owning lane's thread writes these. */
-    struct LaneStats
-    {
-        std::uint64_t sent = 0;
-        std::uint64_t delivered = 0;
-        Histogram latency;
-        Histogram queueDelay;
-    };
-    bool sharded_ = false;
-    std::vector<std::uint16_t> linkOwner_;  //!< LinkId -> lane.
-    std::vector<std::unique_ptr<LaneStats>> laneStats_;
-    std::vector<Rng> laneRng_;  //!< Per-lane ECMP draw streams.
-    mutable Histogram mergedLatency_;
-    mutable Histogram mergedQueueDelay_;
-
-    std::uint32_t currentLaneIdx() const;
-    void sendSharded(const Message &msg, DeliverFn on_deliver);
-    void hopSharded(const std::shared_ptr<Flight> &flight);
-    void finishDeliverySharded(const Flight &flight);
-    /** @} */
 
     void hop(std::shared_ptr<Flight> flight);
     void retransmit(std::shared_ptr<Flight> flight);

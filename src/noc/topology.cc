@@ -21,15 +21,6 @@ Topology::addLink(NodeId from, NodeId to, Tick latency,
     return static_cast<LinkId>(links_.size() - 1);
 }
 
-void
-Topology::linkOwners(const std::vector<std::uint16_t> &endpoint_parts,
-                     std::uint16_t shared_part,
-                     std::vector<std::uint16_t> &out) const
-{
-    (void)endpoint_parts;
-    out.assign(links_.size(), shared_part);
-}
-
 bool
 Topology::hasLivePath(EndpointId src, EndpointId dst,
                       const FaultState *faults) const

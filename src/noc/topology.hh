@@ -78,25 +78,6 @@ class Topology
     /** All links in the topology. */
     const std::vector<LinkSpec> &links() const { return links_; }
 
-    /**
-     * Assign every link to the ICN cluster partition whose lane may
-     * mutate its state under parallel-DES sharding (sim/shard.hh).
-     * @p endpoint_parts maps endpoints to partitions (the vector
-     * Network::setEndpointPartitions received); @p shared_part is
-     * the partition of the shared lane (external fabric, NIC).
-     *
-     * The base implementation pins every link to the shared lane —
-     * always correct (the whole NoC serializes through one lane) but
-     * sequential. Topologies with cluster-local structure override
-     * this to keep cluster-local traffic on cluster lanes.
-     *
-     * @param out Resized to links().size() and filled per LinkId.
-     */
-    virtual void linkOwners(
-        const std::vector<std::uint16_t> &endpoint_parts,
-        std::uint16_t shared_part,
-        std::vector<std::uint16_t> &out) const;
-
     /** Hop count between two endpoints (routes once, non-random
      *  topologies are exact; ECMP ones have constant hop counts). */
     std::size_t hopCount(EndpointId src, EndpointId dst) const;

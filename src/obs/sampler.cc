@@ -11,9 +11,7 @@ namespace umany
 {
 
 Sampler::Sampler(EventQueue &eq, ClusterSim &sim, Tick interval)
-    : eq_(eq), sim_(sim), interval_(interval),
-      extPart_(static_cast<std::uint16_t>(
-          sim.machine(0).numClusters()))
+    : eq_(eq), sim_(sim), interval_(interval)
 {
     if (interval_ == 0)
         fatal("sampler interval must be positive");
@@ -35,7 +33,7 @@ Sampler::scheduleNext()
     if (now >= until_)
         return;
     eq_.schedule(std::min(now + interval_, until_),
-                 EvTag{EvSrc::Sampler, extPart_},
+                 EvTag{EvSrc::Sampler},
                  [this]() { tick(); });
 }
 

@@ -71,9 +71,6 @@ class Sampler
     ClusterSim &sim_;
     Tick interval_;
     Tick until_ = 0;
-    /** Partition tag for sample events: the sampler walks every
-     *  server, so its ticks belong to the shared/external bucket. */
-    std::uint16_t extPart_;
     std::vector<Sample> samples_;
 
     void tick();

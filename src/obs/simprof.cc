@@ -1,8 +1,5 @@
 #include "obs/simprof.hh"
 
-#include <algorithm>
-
-#include "noc/topology.hh"
 #include "obs/json.hh"
 #include "sim/logging.hh"
 
@@ -36,12 +33,6 @@ SimProfiler::SimProfiler(std::uint32_t batch_events)
     : batchEvents_(batch_events ? batch_events : 1),
       batchStart_(HostClock::now())
 {
-}
-
-void
-SimProfiler::growPartitions(std::uint16_t part)
-{
-    partEvents_.resize(static_cast<std::size_t>(part) + 1, 0);
 }
 
 void
@@ -94,127 +85,6 @@ SimProfiler::finalize()
         flushBatch();
 }
 
-void
-SimProfiler::mergeFrom(const SimProfiler &other)
-{
-    if (!finalized_ || !other.finalized_)
-        panic("SimProfiler::mergeFrom: finalize both sides first");
-
-    for (std::size_t s = 0; s < kNumEvSrcs; ++s) {
-        srcEvents_[s] += other.srcEvents_[s];
-        srcHostNs_[s] += other.srcHostNs_[s];
-    }
-    totalEvents_ += other.totalEvents_;
-    totalHostNs_ += other.totalHostNs_;
-    schedSeen_ += other.schedSeen_;
-    occupancy_.merge(other.occupancy_);
-    horizon_.merge(other.horizon_);
-
-    if (other.partEvents_.size() > partEvents_.size())
-        partEvents_.resize(other.partEvents_.size(), 0);
-    for (std::size_t p = 0; p < other.partEvents_.size(); ++p)
-        partEvents_[p] += other.partEvents_[p];
-    partNone_ += other.partNone_;
-
-    if (other.dim_ > 0) {
-        ensureDim(other.dim_);
-        for (std::uint32_t i = 0; i < other.dim_; ++i) {
-            for (std::uint32_t j = 0; j < other.dim_; ++j) {
-                const std::size_t to = i * dim_ + j;
-                const std::size_t from = i * other.dim_ + j;
-                sentMsgs_[to] += other.sentMsgs_[from];
-                sentBytes_[to] += other.sentBytes_[from];
-                deliveredMsgs_[to] += other.deliveredMsgs_[from];
-                deliveredBytes_[to] += other.deliveredBytes_[from];
-            }
-        }
-    }
-    totalSent_ += other.totalSent_;
-    totalDelivered_ += other.totalDelivered_;
-
-    // Timelines are cumulative per profiler; to aggregate, convert
-    // both to per-point deltas, merge-sort on simulated time, and
-    // re-accumulate into one cumulative series.
-    struct Delta
-    {
-        Tick simNow;
-        std::uint64_t events;
-        double hostNs;
-    };
-    auto toDeltas = [](const std::vector<TimelinePoint> &series) {
-        std::vector<Delta> out;
-        out.reserve(series.size());
-        std::uint64_t ev = 0;
-        double ns = 0.0;
-        for (const TimelinePoint &p : series) {
-            out.push_back(
-                Delta{p.simNow, p.events - ev, p.hostNs - ns});
-            ev = p.events;
-            ns = p.hostNs;
-        }
-        return out;
-    };
-    const std::vector<Delta> a = toDeltas(timeline_);
-    const std::vector<Delta> b = toDeltas(other.timeline_);
-    std::vector<Delta> merged;
-    merged.reserve(a.size() + b.size());
-    std::size_t ia = 0;
-    std::size_t ib = 0;
-    while (ia < a.size() || ib < b.size()) {
-        const bool take_a =
-            ib >= b.size() ||
-            (ia < a.size() && a[ia].simNow <= b[ib].simNow);
-        merged.push_back(take_a ? a[ia++] : b[ib++]);
-    }
-    timeline_.clear();
-    timeline_.reserve(merged.size());
-    std::uint64_t ev = 0;
-    double ns = 0.0;
-    for (const Delta &d : merged) {
-        ev += d.events;
-        ns += d.hostNs;
-        timeline_.push_back(TimelinePoint{d.simNow, ev, ns});
-    }
-    while (timeline_.size() >= maxTimelinePoints) {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < timeline_.size(); r += 2)
-            timeline_[w++] = timeline_[r];
-        timeline_.resize(w);
-        timelineStride_ *= 2;
-    }
-    lastNow_ = std::max(lastNow_, other.lastNow_);
-    flushes_ += other.flushes_;
-}
-
-void
-SimProfiler::setPartitionInfo(std::uint32_t clusters, Tick lookahead)
-{
-    clusters_ = clusters;
-    lookahead_ = lookahead;
-    partitionInfoSet_ = true;
-}
-
-void
-SimProfiler::ensureDim(std::uint32_t dim)
-{
-    if (dim <= dim_)
-        return;
-    auto grow = [this, dim](std::vector<std::uint64_t> &m) {
-        std::vector<std::uint64_t> next(
-            static_cast<std::size_t>(dim) * dim, 0);
-        for (std::uint32_t i = 0; i < dim_; ++i) {
-            for (std::uint32_t j = 0; j < dim_; ++j)
-                next[i * dim + j] = m[i * dim_ + j];
-        }
-        m = std::move(next);
-    };
-    grow(sentMsgs_);
-    grow(sentBytes_);
-    grow(deliveredMsgs_);
-    grow(deliveredBytes_);
-    dim_ = dim;
-}
-
 namespace
 {
 
@@ -231,42 +101,6 @@ histogramJson(JsonWriter &w, const Histogram &h)
     w.endObject();
 }
 
-void
-matrixJson(JsonWriter &w, const std::vector<std::uint64_t> &m,
-           std::uint32_t dim)
-{
-    w.beginArray();
-    for (std::uint32_t i = 0; i < dim; ++i) {
-        w.beginArray();
-        for (std::uint32_t j = 0; j < dim; ++j)
-            w.value(m[i * dim + j]);
-        w.endArray();
-    }
-    w.endArray();
-}
-
-/** Per-cluster balance: max/mean of the first @p clusters counts. */
-double
-balanceMaxOverMean(const std::vector<std::uint64_t> &counts,
-                   std::uint32_t clusters)
-{
-    if (clusters == 0)
-        return 0.0;
-    std::uint64_t sum = 0;
-    std::uint64_t top = 0;
-    for (std::uint32_t c = 0; c < clusters; ++c) {
-        const std::uint64_t v =
-            c < counts.size() ? counts[c] : 0;
-        sum += v;
-        top = std::max(top, v);
-    }
-    if (sum == 0)
-        return 0.0;
-    const double mean =
-        static_cast<double>(sum) / static_cast<double>(clusters);
-    return static_cast<double>(top) / mean;
-}
-
 } // namespace
 
 std::string
@@ -274,7 +108,7 @@ SimProfiler::toJson() const
 {
     JsonWriter w;
     w.beginObject();
-    w.key("schema").value("umany.sim_profile.v1");
+    w.key("schema").value("umany.sim_profile.v2");
     w.key("clock_batch_events").value(
         static_cast<std::uint64_t>(batchEvents_));
 
@@ -328,62 +162,6 @@ SimProfiler::toJson() const
     w.endArray();
     w.endObject();
 
-    w.key("partitions").beginObject();
-    w.key("clusters").value(
-        static_cast<std::uint64_t>(clusters_));
-    w.key("events_per_cluster").beginArray();
-    for (std::uint32_t c = 0; c < clusters_; ++c)
-        w.value(c < partEvents_.size() ? partEvents_[c] : 0);
-    w.endArray();
-    // Events tagged with the external bucket (top NIC endpoint).
-    std::uint64_t ext = 0;
-    for (std::size_t c = clusters_; c < partEvents_.size(); ++c)
-        ext += partEvents_[c];
-    w.key("events_external").value(ext);
-    w.key("events_unpartitioned").value(partNone_);
-    w.key("balance_max_over_mean")
-        .value(balanceMaxOverMean(partEvents_, clusters_));
-
-    w.key("noc_matrix").beginObject();
-    w.key("dim").value(static_cast<std::uint64_t>(dim_));
-    w.key("labels").beginArray();
-    for (std::uint32_t i = 0; i < dim_; ++i) {
-        if (i < clusters_ || clusters_ == 0)
-            w.value(strprintf("c%u", i));
-        else
-            w.value("ext");
-    }
-    w.endArray();
-    w.key("sent_msgs");
-    matrixJson(w, sentMsgs_, dim_);
-    w.key("sent_bytes");
-    matrixJson(w, sentBytes_, dim_);
-    w.key("delivered_msgs");
-    matrixJson(w, deliveredMsgs_, dim_);
-    w.endObject();
-
-    std::uint64_t cross = 0;
-    for (std::uint32_t i = 0; i < dim_; ++i) {
-        for (std::uint32_t j = 0; j < dim_; ++j) {
-            if (i != j)
-                cross += sentMsgs_[i * dim_ + j];
-        }
-    }
-    w.key("noc_totals").beginObject();
-    w.key("sent_msgs").value(totalSent_);
-    w.key("delivered_msgs").value(totalDelivered_);
-    w.key("cross_partition_frac")
-        .value(totalSent_ > 0 ? static_cast<double>(cross) /
-                                    static_cast<double>(totalSent_)
-                              : 0.0);
-    w.endObject();
-
-    w.key("lookahead").beginObject();
-    w.key("min_cross_cluster_ticks").value(lookahead_);
-    w.key("min_cross_cluster_us").value(toUs(lookahead_));
-    w.endObject();
-
-    w.endObject();
     w.endObject();
     return w.str();
 }
@@ -428,76 +206,7 @@ SimProfiler::formatTable() const
         "schedule horizon p50/p99: %.2f / %.2f us (sampled 1/%u)\n",
         toUs(horizon_.p50()), toUs(horizon_.p99()),
         1u << horizonSampleShift);
-
-    if (partitionInfoSet_) {
-        out += "-- partitionability "
-               "--------------------------------------------\n";
-        std::uint64_t sum = 0;
-        std::uint64_t top = 0;
-        for (std::uint32_t c = 0; c < clusters_; ++c) {
-            const std::uint64_t v =
-                c < partEvents_.size() ? partEvents_[c] : 0;
-            sum += v;
-            top = std::max(top, v);
-        }
-        const double mean =
-            clusters_ ? static_cast<double>(sum) /
-                            static_cast<double>(clusters_)
-                      : 0.0;
-        out += strprintf(
-            "clusters %u | events/cluster mean %.0f max %llu "
-            "(max/mean %.2f) | unpartitioned %llu\n",
-            clusters_, mean,
-            static_cast<unsigned long long>(top),
-            balanceMaxOverMean(partEvents_, clusters_),
-            static_cast<unsigned long long>(partNone_));
-        std::uint64_t cross = 0;
-        for (std::uint32_t i = 0; i < dim_; ++i) {
-            for (std::uint32_t j = 0; j < dim_; ++j) {
-                if (i != j)
-                    cross += sentMsgs_[i * dim_ + j];
-            }
-        }
-        out += strprintf(
-            "noc msgs sent %llu (cross-partition %.1f%%), "
-            "delivered %llu\n",
-            static_cast<unsigned long long>(totalSent_),
-            totalSent_ ? 100.0 * static_cast<double>(cross) /
-                             static_cast<double>(totalSent_)
-                       : 0.0,
-            static_cast<unsigned long long>(totalDelivered_));
-        out += strprintf(
-            "lookahead (min cross-cluster icn latency): %.3f us\n",
-            toUs(lookahead_));
-    }
     return out;
-}
-
-Tick
-minCrossPartitionLatency(const Topology &topo,
-                         const std::vector<std::uint16_t> &parts,
-                         std::uint32_t clusters, std::uint32_t bytes)
-{
-    Tick best = 0;
-    bool found = false;
-    const std::size_t n =
-        std::min(parts.size(), topo.endpointCount());
-    for (std::size_t a = 0; a < n; ++a) {
-        if (parts[a] >= clusters)
-            continue;
-        for (std::size_t b = 0; b < n; ++b) {
-            if (parts[b] >= clusters || parts[a] == parts[b])
-                continue;
-            const Tick lat = topo.contentionFreeLatency(
-                static_cast<EndpointId>(a),
-                static_cast<EndpointId>(b), bytes);
-            if (!found || lat < best) {
-                best = lat;
-                found = true;
-            }
-        }
-    }
-    return found ? best : 0;
 }
 
 } // namespace umany

@@ -1,8 +1,7 @@
 /**
  * @file
- * Simulator self-profiling: where does host wall-clock go, which
- * subsystems dominate the event stream, and how partitionable is the
- * workload across ICN clusters?
+ * Simulator self-profiling: where does host wall-clock go, and which
+ * subsystems dominate the event stream?
  *
  * A SimProfiler attaches to an EventQueue (EventQueue::setProfiler)
  * and accumulates, per event-source tag (sim/ev_source.hh):
@@ -13,13 +12,9 @@
  *  - queue-occupancy and schedule-horizon histograms (sampled), and
  *  - an events/sec-vs-simulated-time series (stride-downsampled).
  *
- * On top of the kernel view sits a partitionability analyzer fed at
- * the NoC boundary: per-cluster event counts, an NxN inter-cluster
- * message/byte traffic matrix, and the minimum cross-cluster ICN
- * latency — the lookahead bound a conservative parallel DES sharded
- * per cluster would synchronize on. Results are emitted as a
- * versioned JSON report (`umany.sim_profile.v1`) and a human-
- * readable table; see EXPERIMENTS.md for the schema.
+ * Results are emitted as a versioned JSON report
+ * (`umany.sim_profile.v2`) and a human-readable table; see
+ * EXPERIMENTS.md for the schema.
  *
  * Detached cost is one branch per kernel operation; attached cost is
  * a few increments per event plus one clock read per batch.
@@ -28,7 +23,6 @@
 #ifndef UMANY_OBS_SIMPROF_HH
 #define UMANY_OBS_SIMPROF_HH
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -40,8 +34,6 @@
 
 namespace umany
 {
-
-class Topology;
 
 class SimProfiler
 {
@@ -81,13 +73,6 @@ class SimProfiler
     onExecuted(const EvTag &tag, std::size_t queue_depth, Tick now)
     {
         ++batchCount_[static_cast<std::size_t>(tag.src)];
-        if (tag.part == evPartNone) {
-            ++partNone_;
-        } else {
-            if (tag.part >= partEvents_.size())
-                growPartitions(tag.part);
-            ++partEvents_[tag.part];
-        }
         lastNow_ = now;
         if (++batchN_ >= batchEvents_) {
             occupancy_.add(queue_depth);
@@ -97,63 +82,11 @@ class SimProfiler
     /** @} */
 
     /**
-     * @name NoC-boundary hooks (Network calls these)
-     *
-     * Inline for the same reason as the kernel hooks: one call per
-     * NoC message adds up at millions of messages per second.
-     * @{
-     */
-    void
-    noteNocSend(std::uint16_t src_part, std::uint16_t dst_part,
-                std::uint32_t bytes)
-    {
-        if (src_part == evPartNone || dst_part == evPartNone)
-            return;
-        if (std::max(src_part, dst_part) >= dim_)
-            ensureDim(std::max(src_part, dst_part) + 1u);
-        sentMsgs_[src_part * dim_ + dst_part] += 1;
-        sentBytes_[src_part * dim_ + dst_part] += bytes;
-        ++totalSent_;
-    }
-
-    void
-    noteNocDeliver(std::uint16_t src_part, std::uint16_t dst_part,
-                   std::uint32_t bytes)
-    {
-        if (src_part == evPartNone || dst_part == evPartNone)
-            return;
-        if (std::max(src_part, dst_part) >= dim_)
-            ensureDim(std::max(src_part, dst_part) + 1u);
-        deliveredMsgs_[src_part * dim_ + dst_part] += 1;
-        deliveredBytes_[src_part * dim_ + dst_part] += bytes;
-        ++totalDelivered_;
-    }
-    /** @} */
-
-    /**
      * Close the final (partial) clock batch so per-source host-time
      * shares sum to exactly the measured total. Idempotent; call
      * after detaching from the queue and before reading results.
      */
     void finalize();
-
-    /**
-     * Fold another (finalized) profiler's counters, histograms,
-     * traffic matrices, and timeline into this one. Used by the
-     * parallel-DES runtime: each lane records into its own profiler
-     * (no atomics on the hot path) and the driver merges them after
-     * detach. Timelines are delta-merged on simulated time and
-     * re-accumulated, so the merged events-vs-time series is a
-     * cluster-wide aggregate rather than one lane's view.
-     */
-    void mergeFrom(const SimProfiler &other);
-
-    /**
-     * Partitionability context, set by the driver before emitting
-     * the report: the machines' ICN cluster count and the minimum
-     * cross-cluster latency (conservative-DES lookahead bound).
-     */
-    void setPartitionInfo(std::uint32_t clusters, Tick lookahead);
 
     /** @name Results @{ */
     std::uint64_t totalEvents() const { return totalEvents_; }
@@ -169,36 +102,9 @@ class SimProfiler
     double totalHostNs() const { return totalHostNs_; }
     const Histogram &occupancyHist() const { return occupancy_; }
     const Histogram &horizonHist() const { return horizon_; }
-    /** Events per partition index (clusters, then the ext bucket). */
-    const std::vector<std::uint64_t> &partitionEvents() const
-    {
-        return partEvents_;
-    }
-    std::uint64_t unpartitionedEvents() const { return partNone_; }
-
-    /** Traffic-matrix dimension (max partition index seen + 1). */
-    std::uint32_t matrixDim() const { return dim_; }
-    std::uint64_t sentMsgs(std::uint32_t i, std::uint32_t j) const
-    {
-        return sentMsgs_[i * dim_ + j];
-    }
-    std::uint64_t sentBytes(std::uint32_t i, std::uint32_t j) const
-    {
-        return sentBytes_[i * dim_ + j];
-    }
-    std::uint64_t deliveredMsgs(std::uint32_t i,
-                                std::uint32_t j) const
-    {
-        return deliveredMsgs_[i * dim_ + j];
-    }
-    std::uint64_t totalSentMsgs() const { return totalSent_; }
-    std::uint64_t totalDeliveredMsgs() const
-    {
-        return totalDelivered_;
-    }
     /** @} */
 
-    /** The `umany.sim_profile.v1` JSON document. */
+    /** The `umany.sim_profile.v2` JSON document. */
     std::string toJson() const;
 
     /** Human-readable report table (driver prints it to stderr). */
@@ -208,8 +114,6 @@ class SimProfiler
     using HostClock = std::chrono::steady_clock;
 
     void flushBatch();
-    void ensureDim(std::uint32_t dim);
-    void growPartitions(std::uint16_t part);
 
     const std::uint32_t batchEvents_;
 
@@ -239,34 +143,7 @@ class SimProfiler
     std::uint64_t timelineStride_ = 1;
     Tick lastNow_ = 0;
     /** @} */
-
-    /** @name Partitionability @{ */
-    std::vector<std::uint64_t> partEvents_;
-    std::uint64_t partNone_ = 0;
-    std::uint32_t dim_ = 0;
-    std::vector<std::uint64_t> sentMsgs_;
-    std::vector<std::uint64_t> sentBytes_;
-    std::vector<std::uint64_t> deliveredMsgs_;
-    std::vector<std::uint64_t> deliveredBytes_;
-    std::uint64_t totalSent_ = 0;
-    std::uint64_t totalDelivered_ = 0;
-    std::uint32_t clusters_ = 0;
-    Tick lookahead_ = 0;
-    bool partitionInfoSet_ = false;
-    /** @} */
 };
-
-/**
- * Minimum contention-free latency between endpoints in different
- * partitions, considering only partitions < @p clusters (villages
- * and pools; the external endpoint is excluded). @p bytes is the
- * smallest message the simulation sends. This is the conservative-
- * DES lookahead bound: no cross-cluster event can take effect
- * sooner. Returns 0 when fewer than two clusters exist.
- */
-Tick minCrossPartitionLatency(
-    const Topology &topo, const std::vector<std::uint16_t> &parts,
-    std::uint32_t clusters, std::uint32_t bytes = 64);
 
 } // namespace umany
 

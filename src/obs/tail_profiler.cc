@@ -106,35 +106,6 @@ TailProfiler::ingest(const AttribRecord &root, Tick latency,
                    heapOrder);
 }
 
-void
-TailProfiler::merge(const TailProfiler &other)
-{
-    roots_ += other.roots_;
-    for (const auto &[ep, theirs] : other.endpoints_) {
-        EndpointProfile &prof = endpoints_[ep];
-        prof.roots += theirs.roots;
-        prof.latencyTicks.merge(theirs.latencyTicks);
-        for (std::size_t i = 0; i < kNumAttribComps; ++i) {
-            prof.pathTicks[i].merge(theirs.pathTicks[i]);
-            prof.pathTotal[i] += theirs.pathTotal[i];
-        }
-        for (const TailCapture &c : theirs.captures) {
-            if (prof.captures.size() < topK_) {
-                prof.captures.push_back(c);
-                std::push_heap(prof.captures.begin(),
-                               prof.captures.end(), heapOrder);
-            } else if (beatsFront(prof.captures.front(), c.latency,
-                                  c.id)) {
-                std::pop_heap(prof.captures.begin(),
-                              prof.captures.end(), heapOrder);
-                prof.captures.back() = c;
-                std::push_heap(prof.captures.begin(),
-                               prof.captures.end(), heapOrder);
-            }
-        }
-    }
-}
-
 std::vector<std::pair<AttribComp, Tick>>
 TailProfiler::rankedTail(ServiceId ep) const
 {

@@ -50,9 +50,6 @@ class TailProfiler
     void ingest(const AttribRecord &root, Tick latency,
                 const RecordLookup &lookup);
 
-    /** Merge another profiler (shard) into this one. */
-    void merge(const TailProfiler &other);
-
     /** Per-endpoint tail state. */
     struct EndpointProfile
     {

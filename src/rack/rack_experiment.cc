@@ -323,10 +323,9 @@ runRackExperiment(const ServiceCatalog &catalog,
                   StatsDump *stats_out, AttribResult *attrib_out)
 {
     const ExperimentConfig &base = cfg.base;
-    if (base.shards > 1) {
-        warn("--shards=%u unavailable at rack scale (the LB "
-             "serializes); running serial",
-             static_cast<unsigned>(base.shards));
+    if (base.shards != 1) {
+        fatal("shards=%u: only the serial kernel exists (shards=1)",
+              static_cast<unsigned>(base.shards));
     }
 
     // Tracing is scoped to the run, as in runExperiment: the sink
@@ -383,9 +382,6 @@ runRackExperiment(const ServiceCatalog &catalog,
     if (!base.faults.empty())
         FaultInjector::arm(eq, rack, base.faults);
 
-    const std::uint16_t ext_part = static_cast<std::uint16_t>(
-        rack.package(0).machine(0).numClusters());
-
     // Sampling: the inert rack keeps the single-package Sampler
     // (byte-identical series); a real rack samples per-package and
     // fabric state through the rack-scale sampler.
@@ -411,7 +407,6 @@ runRackExperiment(const ServiceCatalog &catalog,
     lp.start = 0;
     lp.stop = base.warmup + base.measure;
     lp.seed = base.seed;
-    lp.partition = ext_part;
     lp.streams = cfg.arrivalStreams > 0 ? cfg.arrivalStreams
                                         : rp.packages;
     LoadGenerator gen(eq, catalog, lp, [&rack](ServiceId ep) {
@@ -420,7 +415,7 @@ runRackExperiment(const ServiceCatalog &catalog,
     gen.start();
 
     rack.setRecording(false);
-    eq.schedule(base.warmup, EvTag{EvSrc::Kernel, ext_part},
+    eq.schedule(base.warmup, EvTag{EvSrc::Kernel},
                 [&rack]() { rack.setRecording(true); });
 
     const bool drained = runWithProgress(
@@ -446,12 +441,6 @@ runRackExperiment(const ServiceCatalog &catalog,
     if (simprof) {
         eq.setProfiler(nullptr);
         simprof->finalize();
-        const Machine &m0 = rack.package(0).machine(0);
-        simprof->setPartitionInfo(
-            m0.numClusters(),
-            minCrossPartitionLatency(
-                m0.topology(), m0.network().endpointPartitions(),
-                m0.numClusters()));
         writeTextFile(base.obs.simProfile, simprof->toJson());
         std::fputs(simprof->formatTable().c_str(), stderr);
     }

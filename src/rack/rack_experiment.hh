@@ -27,12 +27,10 @@ struct RackExperimentConfig
      * offered load (rpsPerServer applies per server per package),
      * warmup/measure/drain windows, seed, QoS thresholds, faults
      * (FaultKind::PackageDown/Up target packages; everything else
-     * forwards to every package), and observability. Parallel-DES
-     * sharding is unavailable at rack scale (the LB serializes);
-     * shards > 1 warns and runs serial. Tracing namespaces each
-     * package's pids (pkgN.serverM) and adds LB/fabric tracks;
-     * sampling uses the rack-scale sampler (rack/rack_sampler.hh)
-     * when packages > 1.
+     * forwards to every package), and observability. Tracing
+     * namespaces each package's pids (pkgN.serverM) and adds
+     * LB/fabric tracks; sampling uses the rack-scale sampler
+     * (rack/rack_sampler.hh) when packages > 1.
      */
     ExperimentConfig base;
     /** Rack shape and LB policy. rack.cluster is overwritten from

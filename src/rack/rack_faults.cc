@@ -74,10 +74,8 @@ FaultInjector::arm(EventQueue &eq, RackSim &rack,
         for (std::uint32_t p = 0; p < rack.numPackages(); ++p)
             arm(eq, rack.package(p), forwarded);
     }
-    const std::uint16_t ext_part = static_cast<std::uint16_t>(
-        rack.package(0).machine(0).numClusters());
     for (const FaultEvent &e : packageEvents.events) {
-        eq.schedule(e.at, EvTag{EvSrc::Fault, ext_part},
+        eq.schedule(e.at, EvTag{EvSrc::Fault},
                     [&rack, e]() { applyNow(rack, e); });
     }
 }

@@ -11,9 +11,7 @@ namespace umany
 {
 
 RackSampler::RackSampler(EventQueue &eq, RackSim &sim, Tick interval)
-    : eq_(eq), sim_(sim), interval_(interval),
-      extPart_(static_cast<std::uint16_t>(
-          sim.package(0).machine(0).numClusters()))
+    : eq_(eq), sim_(sim), interval_(interval)
 {
     if (interval_ == 0)
         fatal("rack sampler interval must be positive");
@@ -35,7 +33,7 @@ RackSampler::scheduleNext()
     if (now >= until_)
         return;
     eq_.schedule(std::min(now + interval_, until_),
-                 EvTag{EvSrc::Sampler, extPart_},
+                 EvTag{EvSrc::Sampler},
                  [this]() { tick(); });
 }
 

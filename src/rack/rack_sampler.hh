@@ -69,7 +69,6 @@ class RackSampler
     Tick until_ = 0;
     Tick lastTs_ = 0;
     std::uint64_t lastBusy_ = 0;
-    std::uint16_t extPart_;
     std::vector<Sample> samples_;
 
     void tick();

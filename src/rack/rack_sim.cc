@@ -62,8 +62,6 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                                  rngstream::package + pkg);
         }
         if (racked) {
-            // Below the parallel-DES lane bits (48); the rack layer
-            // is serial-only so they never combine anyway.
             cp.idBase = static_cast<RequestId>(pkg) << 44;
             // Disjoint trace pid block per package; the Chrome
             // exporter names pid p*stride+s "pkgP.serverS".
@@ -91,8 +89,6 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
     lbDispatches_.assign(p_.packages, 0);
     hopQueueTicks_.resize(p_.packages);
     hopTransitTicks_.resize(p_.packages);
-    extPart_ = static_cast<std::uint16_t>(
-        pkgs_[0]->machine(0).numClusters());
 
     if (racked) {
         // The LB conserves its dispatch ledger: every routed root
@@ -220,7 +216,7 @@ RackSim::submitRoot(ServiceId endpoint)
         s->spanEnd(arrive, rackPid_, traceFabricTrack, "fabric.req",
                    traceRackReqFlowBit | ctx);
     });
-    eq_.schedule(arrive, EvTag{EvSrc::NetExternal, extPart_},
+    eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
                  [this, pkg, endpoint, ctx]() {
         pkgs_[pkg]->submitRoot(endpoint, ctx);
     });

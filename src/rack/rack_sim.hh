@@ -20,9 +20,6 @@
  * With one package the rack layer is inert: submits forward
  * synchronously, no context is allocated, no hop is charged, and
  * every result is byte-identical to a bare ClusterSim run.
- *
- * Serial-only: the rack layer routes every root through shared LB
- * state, so it never enables parallel-DES sharding.
  */
 
 #ifndef UMANY_RACK_RACK_SIM_HH
@@ -189,7 +186,6 @@ class RackSim
     std::vector<Histogram> hopQueueTicks_;
     std::vector<Histogram> hopTransitTicks_;
     bool recording_ = true;
-    std::uint16_t extPart_ = evPartNone;
     /** Trace pid layout (racked runs only): package p owns pids
      *  [p*pidStride_, (p+1)*pidStride_); the LB and fabric tracks
      *  live on the rack-substrate pid one block past the last

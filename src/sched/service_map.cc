@@ -34,41 +34,6 @@ ServiceMap::pick(ServiceId service)
     return v;
 }
 
-void
-ServiceMap::enableSharding(std::uint32_t lanes)
-{
-    laneNext_.assign(lanes,
-                     std::vector<std::size_t>(entries_.size(), 0));
-    laneLookups_.assign(lanes, 0);
-}
-
-VillageId
-ServiceMap::pickLane(ServiceId service, std::uint32_t lane)
-{
-    if (!hasService(service))
-        panic("ServiceMap: no instance of service %u", service);
-    if (lane >= laneNext_.size() ||
-        service >= laneNext_[lane].size()) {
-        panic("ServiceMap: lane %u / service %u outside the sharded "
-              "cursor table", lane, service);
-    }
-    ++laneLookups_[lane];
-    const Entry &e = entries_[service];
-    std::size_t &next = laneNext_[lane][service];
-    const VillageId v = e.villages[next % e.villages.size()];
-    next = (next + 1) % e.villages.size();
-    return v;
-}
-
-std::uint64_t
-ServiceMap::lookups() const
-{
-    std::uint64_t total = lookups_;
-    for (const std::uint64_t n : laneLookups_)
-        total += n;
-    return total;
-}
-
 VillageId
 ServiceMap::pickLive(ServiceId service)
 {

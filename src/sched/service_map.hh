@@ -30,21 +30,6 @@ class ServiceMap
     VillageId pick(ServiceId service);
 
     /**
-     * Size the per-lane round-robin cursors and lookup counters for
-     * parallel-DES mode (sim/shard.hh). Call after all instances are
-     * installed and before any pickLane().
-     */
-    void enableSharding(std::uint32_t lanes);
-
-    /**
-     * Round-robin pick advancing @p lane's private cursor: each lane
-     * walks its own rotation through the instance list, so the
-     * choice sequence depends only on the lane's arrival order, not
-     * on cross-lane interleaving (and hence not on the shard count).
-     */
-    VillageId pickLane(ServiceId service, std::uint32_t lane);
-
-    /**
      * Round-robin choice skipping villages marked down; returns
      * invalidId when no live instance exists. Only used when the
      * machine is degraded — pick() keeps the healthy arithmetic.
@@ -71,7 +56,7 @@ class ServiceMap
     /** Services with at least one instance. */
     std::size_t serviceCount() const;
 
-    std::uint64_t lookups() const;
+    std::uint64_t lookups() const { return lookups_; }
 
   private:
     struct Entry
@@ -83,10 +68,6 @@ class ServiceMap
     std::vector<std::uint8_t> villageDown_; //!< Indexed by VillageId.
     std::size_t downCount_ = 0;
     std::uint64_t lookups_ = 0;
-
-    /** Per-lane RR cursors, [lane][service]; empty when serial. */
-    std::vector<std::vector<std::size_t>> laneNext_;
-    std::vector<std::uint64_t> laneLookups_; //!< Indexed by lane.
 
     static const std::vector<VillageId> emptyList_;
 };

@@ -3,13 +3,11 @@
  * Event-source taxonomy for the simulation kernel.
  *
  * Every event scheduled into the EventQueue carries a compile-time
- * source tag naming the subsystem that scheduled it, plus an
- * optional partition id (the ICN cluster the event belongs to).
- * Tags are inert 4-byte payloads riding in the heap node's existing
- * struct padding: when no profiler is attached they cost nothing,
- * and with one attached they let the kernel account host time and
- * event counts per subsystem and per cluster — the measurements the
- * conservative-parallel-DES sharding work is designed from.
+ * source tag naming the subsystem that scheduled it. Tags are inert
+ * one-byte payloads riding in the heap node's existing struct
+ * padding: when no profiler is attached they cost nothing, and with
+ * one attached they let the kernel account host time and event
+ * counts per subsystem.
  */
 
 #ifndef UMANY_SIM_EV_SOURCE_HH
@@ -50,18 +48,10 @@ constexpr std::size_t kNumEvSrcs = 15;
 /** Stable lowercase name of @p src (JSON keys and table rows). */
 const char *evSrcName(EvSrc src);
 
-/** Partition value meaning "no cluster affinity". */
-constexpr std::uint16_t evPartNone = 0xffff;
-
-/**
- * The tag attached to one scheduled event: the subsystem it belongs
- * to and, when known at the call site, the ICN cluster (partition)
- * it would execute in under a per-cluster sharding of the kernel.
- */
+/** The tag attached to one scheduled event: its subsystem. */
 struct EvTag
 {
     EvSrc src = EvSrc::Other;
-    std::uint16_t part = evPartNone;
 };
 
 } // namespace umany

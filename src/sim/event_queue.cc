@@ -1,10 +1,7 @@
 #include "sim/event_queue.hh"
 
-#include <limits>
-
 #include "obs/simprof.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 
 namespace umany
 {
@@ -27,10 +24,6 @@ EventQueue::reserve(std::size_t events)
 void
 EventQueue::schedule(Tick when, EvTag tag, Callback cb)
 {
-    if (runtime_ != nullptr) {
-        runtime_->routeSchedule(when, tag, std::move(cb));
-        return;
-    }
     if (when < _now) {
         panic("event scheduled in the past: when=%llu now=%llu",
               static_cast<unsigned long long>(when),
@@ -47,8 +40,7 @@ EventQueue::schedule(Tick when, EvTag tag, Callback cb)
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.push_back(std::move(cb));
     }
-    heap_.push_back(Node{when, nextSeq_++, slot, tag.src, 0,
-                         tag.part});
+    heap_.push_back(Node{when, nextSeq_++, slot, tag.src});
     siftUp(heap_.size() - 1);
 }
 
@@ -101,35 +93,9 @@ EventQueue::siftDown(std::size_t i)
     heap_[i] = n;
 }
 
-Tick
-EventQueue::shardNow() const
-{
-    return runtime_->currentNow();
-}
-
-std::size_t
-EventQueue::shardSize() const
-{
-    return runtime_->pendingEvents();
-}
-
-std::uint64_t
-EventQueue::shardDispatched() const
-{
-    return runtime_->laneDispatched();
-}
-
-SimProfiler *
-EventQueue::shardProfiler() const
-{
-    return runtime_->currentProfiler();
-}
-
 bool
 EventQueue::step()
 {
-    if (runtime_ != nullptr)
-        panic("EventQueue::step() is serial-only; detach the shards");
     if (heap_.empty())
         return false;
     const Node top = popTop();
@@ -141,20 +107,14 @@ EventQueue::step()
     _now = top.when;
     ++dispatched_;
     cb();
-    if (prof_ != nullptr) {
-        prof_->onExecuted(EvTag{top.src, top.part}, heap_.size(),
-                          _now);
-    }
+    if (prof_ != nullptr)
+        prof_->onExecuted(EvTag{top.src}, heap_.size(), _now);
     return true;
 }
 
 void
 EventQueue::run()
 {
-    if (runtime_ != nullptr) {
-        runtime_->runUntil(std::numeric_limits<Tick>::max());
-        return;
-    }
     while (step()) {
     }
 }
@@ -162,8 +122,6 @@ EventQueue::run()
 bool
 EventQueue::runUntil(Tick limit)
 {
-    if (runtime_ != nullptr)
-        return runtime_->runUntil(limit);
     while (!heap_.empty()) {
         if (heap_.front().when > limit) {
             _now = limit;
@@ -177,8 +135,6 @@ EventQueue::runUntil(Tick limit)
 EventQueue::RunResult
 EventQueue::runUntil(Tick limit, std::uint64_t max_events)
 {
-    if (runtime_ != nullptr)
-        return runtime_->runUntil(limit, max_events);
     while (!heap_.empty()) {
         if (heap_.front().when > limit) {
             _now = limit;
@@ -195,8 +151,6 @@ EventQueue::runUntil(Tick limit, std::uint64_t max_events)
 void
 EventQueue::reset()
 {
-    if (runtime_ != nullptr)
-        panic("EventQueue::reset() is serial-only; detach the shards");
     // clear(), not reassignment: capacity stays warm for the next
     // run in this process.
     heap_.clear();

@@ -30,20 +30,12 @@ namespace umany
 {
 
 class SimProfiler;
-class ShardRuntime;
 
 /**
  * The event queue at the heart of the simulator.
  *
  * Events are arbitrary callables. Ties at the same tick are broken
  * by insertion order so behaviour is reproducible.
- *
- * A ShardRuntime (sim/shard.hh) may attach to split the queue into
- * per-cluster lanes run on worker threads; while attached, every
- * public operation routes through the runtime so components holding
- * an EventQueue reference never see the difference. Detached (the
- * default, and the only mode `--shards=1` uses) each operation pays
- * one null-check branch.
  */
 class EventQueue
 {
@@ -54,19 +46,15 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Current simulated time (the executing lane's when sharded). */
-    Tick
-    now() const
-    {
-        return runtime_ == nullptr ? _now : shardNow();
-    }
+    /** Current simulated time. */
+    Tick now() const { return _now; }
 
     /**
      * Schedule a callback at an absolute tick.
      *
      * @param when Absolute tick; must be >= now().
-     * @param tag Event-source tag (taxonomy + partition) carried in
-     *        the heap node; free when no profiler is attached.
+     * @param tag Event-source tag carried in the heap node; free
+     *        when no profiler is attached.
      * @param cb Callback to invoke.
      */
     void schedule(Tick when, EvTag tag, Callback cb);
@@ -93,26 +81,13 @@ class EventQueue
     }
 
     /** True when no events remain. */
-    bool
-    empty() const
-    {
-        return runtime_ == nullptr ? heap_.empty() : shardSize() == 0;
-    }
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of pending events (summed over lanes when sharded). */
-    std::size_t
-    size() const
-    {
-        return runtime_ == nullptr ? heap_.size() : shardSize();
-    }
+    /** Number of pending events. */
+    std::size_t size() const { return heap_.size(); }
 
-    /** Total events dispatched (summed over lanes when sharded). */
-    std::uint64_t
-    dispatched() const
-    {
-        return runtime_ == nullptr ? dispatched_
-                                   : dispatched_ + shardDispatched();
-    }
+    /** Total events dispatched. */
+    std::uint64_t dispatched() const { return dispatched_; }
 
     /** Run until the queue drains. */
     void run();
@@ -149,14 +124,6 @@ class EventQueue
      * detached the kernel pays one branch per operation.
      */
     void setProfiler(SimProfiler *prof) { prof_ = prof; }
-    SimProfiler *
-    profiler() const
-    {
-        return runtime_ == nullptr ? prof_ : shardProfiler();
-    }
-
-    /** The attached ShardRuntime, or null in serial mode. */
-    ShardRuntime *shards() const { return runtime_; }
 
     /** Dispatch a single event. @return false if queue was empty. */
     bool step();
@@ -174,15 +141,6 @@ class EventQueue
     std::size_t capacity() const { return slab_.capacity(); }
 
   private:
-    friend class ShardRuntime;
-
-    /** @name Sharded-mode forwarding (out of line: cold) @{ */
-    Tick shardNow() const;
-    std::size_t shardSize() const;
-    std::uint64_t shardDispatched() const;
-    SimProfiler *shardProfiler() const;
-    /** @} */
-
     /**
      * Heap node: the full sort key plus the slab slot of the
      * callback. Comparisons and sifts never dereference the slab.
@@ -195,8 +153,6 @@ class EventQueue
         std::uint64_t seq;
         std::uint32_t slot;
         EvSrc src;
-        std::uint8_t pad_;
-        std::uint16_t part;
     };
     static_assert(sizeof(Node) == 24,
                   "event tags must fit in the node's padding");
@@ -225,7 +181,6 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;
     SimProfiler *prof_ = nullptr;
-    ShardRuntime *runtime_ = nullptr;
 };
 
 } // namespace umany

@@ -42,7 +42,6 @@ constexpr std::uint64_t swqueue = 0x53575130u;    //!< "SWQ0"
 constexpr std::uint64_t rnic = 0x524e4943u;       //!< "RNIC"
 constexpr std::uint64_t coherence = 0x44495254u;  //!< "DIRT"
 constexpr std::uint64_t fault = 0x464c5430u;      //!< "FLT0"
-constexpr std::uint64_t lane = 0x4c414e45u;       //!< "LANE" (+idx)
 constexpr std::uint64_t dispatch = 0x44535043u;   //!< "DSPC"
 constexpr std::uint64_t package = 0x504b4730u;    //!< "PKG0" (+id)
 constexpr std::uint64_t replica = 0x5245504cu;    //!< "REPL"

@@ -60,8 +60,6 @@ runValidationSim(const ValidationConfig &cfg)
     lp.start = 0;
     lp.stop = cfg.warmup + cfg.measure;
     lp.seed = cfg.seed;
-    lp.partition =
-        static_cast<std::uint16_t>(sim.machine(0).numClusters());
     LoadGenerator gen(eq, catalog, lp, [&sim](ServiceId ep) {
         sim.submitRoot(ep);
     });
@@ -81,18 +79,13 @@ runValidationSim(const ValidationConfig &cfg)
     Tick busyAtWarmup = 0;
     Tick busyAtStop = 0;
     ValidationResult r;
-    // Measurement flips touch whole-machine state, so they belong to
-    // the shared partition bucket past the last cluster.
-    const std::uint16_t ext_part =
-        static_cast<std::uint16_t>(sim.machine(0).numClusters());
-    eq.schedule(cfg.warmup, EvTag{EvSrc::Kernel, ext_part}, [&]() {
+    eq.schedule(cfg.warmup, EvTag{EvSrc::Kernel}, [&]() {
         busyAtWarmup = totalBusy();
         if (cfg.clearNetStatsAtWarmup)
             sim.machine(0).network().clearStats();
         sim.setRecording(true);
     });
-    eq.schedule(cfg.warmup + cfg.measure,
-                EvTag{EvSrc::Kernel, ext_part}, [&]() {
+    eq.schedule(cfg.warmup + cfg.measure, EvTag{EvSrc::Kernel}, [&]() {
         busyAtStop = totalBusy();
         // Sampled here, not after the drain, so the utilization
         // window is exactly [warmup, warmup + measure).

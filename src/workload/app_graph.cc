@@ -143,7 +143,7 @@ buildSocialNetwork(const AppGraphParams &p)
     sgraph.loadWeight = 2.0;
     sgraph.makeBehavior = [g](Rng &rng) {
         Behavior b;
-        // Social-graph reads fan out across shards, then rank.
+        // Social-graph reads fan out to storage, then rank.
         b.segments = {g.seg(rng, 65), g.seg(rng, 45), g.seg(rng, 30)};
         b.groups = {{Gen::storage(), Gen::storage(), Gen::storage(),
                      Gen::storage()},

@@ -84,7 +84,7 @@ LoadGenerator::scheduleNext(std::uint32_t stream, Tick from)
     const Tick when = from + fromSec(gap_sec);
     if (when >= p_.stop)
         return;
-    eq_.schedule(when, EvTag{EvSrc::LoadGen, p_.partition},
+    eq_.schedule(when, EvTag{EvSrc::LoadGen},
                  [this, stream, when]() {
         ++generated_;
         submit_(pickEndpoint());

@@ -34,12 +34,6 @@ struct LoadGenParams
     Tick start = 0;
     Tick stop = fromSec(1.0);      //!< No arrivals at/after this tick.
     std::uint64_t seed = 1;
-    /**
-     * Partition tag for arrival events (the shared/external lane id
-     * in parallel-DES mode; see sim/ev_source.hh). Arrivals enter at
-     * the package boundary, not inside any ICN cluster.
-     */
-    std::uint16_t partition = evPartNone;
     /** Burstiness shape for ArrivalKind::Bursty: per-state rate
      *  multipliers and mean stay times (seconds). */
     std::vector<std::pair<double, double>> burstStates = {

@@ -4,7 +4,7 @@
  * sum invariant, critical-path extraction over a hand-built span
  * tree, agreement between the ledger and the §3.3 analytic
  * decomposition, bottleneck localisation with the synthetic fan-out
- * workload, the tail profiler's sharded merge, the OpenMetrics
+ * workload, the tail profiler's top-k retention, the OpenMetrics
  * exporter, the trace-track filter, and parent->child flow events.
  */
 
@@ -272,7 +272,7 @@ TEST(Attrib, InjectedBottleneckMovesRankOne)
 // Tail profiler mechanics.
 // ---------------------------------------------------------------
 
-TEST(TailProfiler, KeepsTopKAndMergesShards)
+TEST(TailProfiler, KeepsTopK)
 {
     const RecordLookup none = [](RequestId) {
         return static_cast<const AttribRecord *>(nullptr);
@@ -288,11 +288,8 @@ TEST(TailProfiler, KeepsTopKAndMergesShards)
     };
 
     TailProfiler a(4);
-    TailProfiler b(4);
     for (RequestId id = 1; id <= 10; ++id)
         a.ingest(makeRoot(id, id * kUs), id * kUs, none);
-    for (RequestId id = 11; id <= 20; ++id)
-        b.ingest(makeRoot(id, id * kUs), id * kUs, none);
 
     ASSERT_EQ(a.endpoints().size(), 1u);
     const auto &ep = a.endpoints().begin()->second;
@@ -304,22 +301,11 @@ TEST(TailProfiler, KeepsTopKAndMergesShards)
         ids.insert(c.id);
     EXPECT_EQ(ids, (std::set<RequestId>{7, 8, 9, 10}));
 
-    a.merge(b);
-    EXPECT_EQ(a.roots(), 20u);
-    const auto &merged = a.endpoints().begin()->second;
-    EXPECT_EQ(merged.roots, 20u);
-    ASSERT_EQ(merged.captures.size(), 4u);
-    ids.clear();
-    for (const TailCapture &c : merged.captures)
-        ids.insert(c.id);
-    EXPECT_EQ(ids, (std::set<RequestId>{17, 18, 19, 20}));
-    EXPECT_EQ(merged.latencyTicks.count(), 20u);
-
-    // Ranked tail reflects the merged captures: all service_exec.
+    // Ranked tail reflects the retained captures: all service_exec.
     const auto ranked = a.rankedTail();
     ASSERT_FALSE(ranked.empty());
     EXPECT_EQ(ranked.front().first, AttribComp::ServiceExec);
-    EXPECT_EQ(ranked.front().second, (17 + 18 + 19 + 20) * kUs);
+    EXPECT_EQ(ranked.front().second, (7 + 8 + 9 + 10) * kUs);
 }
 
 // ---------------------------------------------------------------

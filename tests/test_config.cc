@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for Config, logging helpers, and SimObject.
+ * Tests for Config, logging helpers, SimObject, and the runners'
+ * rejection of configurations they cannot run.
  */
 
 #include <gtest/gtest.h>
 
+#include "driver/experiment.hh"
+#include "rack/rack_experiment.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
+#include "workload/app_graph.hh"
 
 namespace umany
 {
@@ -85,6 +89,25 @@ TEST(ConfigDeathTest, BadArgFormatIsFatal)
     const char *argv[] = {"prog", "justvalue"};
     EXPECT_DEATH(c.parseArgs(2, const_cast<char **>(argv)),
                  "key=value");
+}
+
+// Only the serial kernel exists: any other kernel count fails before
+// the run starts.
+TEST(ConfigDeathTest, ExperimentShardsOtherThanOneIsFatal)
+{
+    const ServiceCatalog cat = buildSocialNetwork();
+    ExperimentConfig cfg;
+    cfg.shards = 2;
+    EXPECT_DEATH(runExperiment(cat, cfg), "shards=2: only the serial");
+}
+
+TEST(ConfigDeathTest, RackExperimentShardsOtherThanOneIsFatal)
+{
+    const ServiceCatalog cat = buildSocialNetwork();
+    RackExperimentConfig cfg;
+    cfg.base.shards = 0;
+    EXPECT_DEATH(runRackExperiment(cat, cfg),
+                 "shards=0: only the serial");
 }
 
 TEST(Logging, StrprintfFormats)

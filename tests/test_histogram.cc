@@ -226,21 +226,21 @@ TEST(Histogram, MergeCombines)
 
 TEST(Histogram, MergedShardsEqualConcatenatedStream)
 {
-    // The profiler merges per-shard histograms; merging must be
+    // Rack runs merge per-package histograms; merging must be
     // exactly equivalent to having observed the concatenated stream
     // in one histogram (bucket counts are additive, so every derived
     // statistic must agree exactly, not just approximately).
     Rng rng(314);
-    constexpr int kShards = 7;
-    Histogram shards[kShards];
+    constexpr int kParts = 7;
+    Histogram parts[kParts];
     Histogram whole;
     for (int i = 0; i < 70000; ++i) {
         const std::uint64_t v = rng.below(1ull << 30) + 1;
-        shards[i % kShards].add(v);
+        parts[i % kParts].add(v);
         whole.add(v);
     }
     Histogram merged;
-    for (const Histogram &s : shards)
+    for (const Histogram &s : parts)
         merged.merge(s);
 
     EXPECT_EQ(merged.count(), whole.count());
@@ -255,20 +255,20 @@ TEST(Histogram, MergedShardsEqualConcatenatedStream)
 
 TEST(Histogram, MergedQuantileErrorStaysBounded)
 {
-    // Merging shards must not compound the bucketing error: the
+    // Merging parts must not compound the bucketing error: the
     // merged quantiles obey the same relative error bound as a
     // single histogram over the full stream.
     Rng rng(2718);
-    constexpr int kShards = 5;
-    Histogram shards[kShards];
+    constexpr int kParts = 5;
+    Histogram parts[kParts];
     std::vector<std::uint64_t> vals;
     for (int i = 0; i < 100000; ++i) {
         const std::uint64_t v = rng.below(1ull << 32) + 1;
-        shards[i % kShards].add(v);
+        parts[i % kParts].add(v);
         vals.push_back(v);
     }
     Histogram merged;
-    for (const Histogram &s : shards)
+    for (const Histogram &s : parts)
         merged.merge(s);
     std::sort(vals.begin(), vals.end());
     for (const double q : {0.1, 0.5, 0.9, 0.99, 0.999}) {

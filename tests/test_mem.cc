@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for DRAM timing, the memory pool, the coherence model, and
- * the footprint generator.
+ * Tests for the memory pool, the coherence model, and the footprint
+ * generator.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/coherence.hh"
-#include "mem/dram.hh"
 #include "mem/footprint.hh"
 #include "mem/memory_pool.hh"
 
@@ -15,53 +14,6 @@ namespace umany
 {
 namespace
 {
-
-TEST(Dram, RowHitFasterThanConflict)
-{
-    Dram dram{DramParams{}};
-    // First access opens the row (conflict path).
-    const Tick t1 = dram.access(0, 0);
-    // Same channel, same bank, same row, later: hit. (Addresses
-    // interleave across channels at 64 B granularity, so +256 stays
-    // on channel 0.)
-    const Tick start2 = t1 + fromUs(1.0);
-    const Tick t2 = dram.access(start2, 256);
-    // Different row, same bank: conflict.
-    const Tick start3 = t2 + fromUs(1.0);
-    const Tick t3 =
-        dram.access(start3, 8192ull * 8 /* same bank, new row */);
-    EXPECT_LT(t2 - start2, t3 - start3);
-    EXPECT_GT(dram.rowHitRate(), 0.0);
-}
-
-TEST(Dram, BankSerializesBackToBack)
-{
-    Dram dram{DramParams{}};
-    const Tick a = dram.access(0, 0);
-    const Tick b = dram.access(0, 0); // same bank immediately
-    EXPECT_GT(b, a);
-}
-
-TEST(Dram, ChannelsWorkInParallel)
-{
-    DramParams p;
-    Dram dram(p);
-    // Same-channel back-to-back vs different channels.
-    const Tick same1 = dram.access(0, 0);
-    (void)same1;
-    Dram dram2(p);
-    const Tick ch0 = dram2.access(0, 0);
-    const Tick ch1 = dram2.access(0, 64); // next channel interleave
-    EXPECT_LE(ch1, ch0 + dram2.idealLatency());
-}
-
-TEST(Dram, IdealLatencyIsLowerBound)
-{
-    Dram dram{DramParams{}};
-    const Tick done = dram.access(0, 4096);
-    EXPECT_GE(done, dram.idealLatency());
-    EXPECT_EQ(dram.requests(), 1u);
-}
 
 TEST(MemoryPool, SnapshotLifecycle)
 {

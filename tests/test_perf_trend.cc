@@ -38,10 +38,7 @@ doc(double fifo_eps, double allocs, double wall_ms, double p99_ms)
         "\"events_per_sec\":7.5e6,\"throughput_rps\":6400.0,"
         "\"p99_ms\":%f},"
         "\"sweep\":{\"points\":4,\"jobs\":8,\"wall_ms_jobs1\":20.0,"
-        "\"wall_ms_jobsN\":6.0,\"speedup\":3.3},"
-        "\"shard_scaling\":{\"wall_ms_shards1\":9.9,"
-        "\"wall_ms_shards2\":7.1,\"wall_ms_shards4\":4.4,"
-        "\"wall_ms_shards8\":3.0,\"speedup_shards8\":3.3}}",
+        "\"wall_ms_jobsN\":6.0,\"speedup\":3.3}}",
         fifo_eps, allocs, wall_ms, p99_ms);
 }
 

@@ -36,7 +36,10 @@ presetByName(const std::string &name)
     return uManycoreParams();
 }
 
-using Case = std::tuple<const char *, std::uint64_t>;
+// The preset is a std::string, not a `const char *`: gtest prints a
+// tuple's `const char *` as its address, which would put a different
+// pointer in every ctest id on every build.
+using Case = std::tuple<std::string, std::uint64_t>;
 
 class ConservationTest : public ::testing::TestWithParam<Case>
 {
