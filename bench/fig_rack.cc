@@ -33,7 +33,6 @@
  *                           sweep (each raced with failover on/off)
  *   --rps=N                 offered load per server per package
  *   --arrivals=poisson|bursty
- *   --streams=N             arrival streams (0 = one per package)
  *   --het=1                 heterogeneous rack: odd packages run the
  *                           ScaleOut machine instead of uManycore
  */
@@ -156,8 +155,6 @@ main(int argc, char **argv)
     const ArrivalKind arrivals = arriv == "bursty"
                                      ? ArrivalKind::Bursty
                                      : ArrivalKind::Poisson;
-    const std::uint32_t streams = static_cast<std::uint32_t>(
-        args.cfg.getInt("streams", 0));
     const bool het = args.cfg.getBool("het", false);
 
     banner("Fig rack",
@@ -197,7 +194,6 @@ main(int argc, char **argv)
             cfg.rack.replica.kind = s.policy;
             cfg.rack.net = net;
             cfg.rack.failover = s.failover;
-            cfg.arrivalStreams = streams;
             if (het && s.packages > 1) {
                 // Straggler rack: odd packages run the ScaleOut
                 // machine, so occupancy-probing replica policies

@@ -1,8 +1,11 @@
 /**
  * @file
- * Experiment runner: builds a cluster, applies load, trims warmup,
- * drains, and collects metrics. Every evaluation bench goes through
- * this entry point so methodology is identical across figures.
+ * Experiment runner: builds the simulated machines, applies load,
+ * trims warmup, drains, and collects metrics. There is one runner,
+ * so methodology is identical across figures: runExperiment() runs
+ * a rack of one package, runRackExperiment() (rack/rack_experiment.hh)
+ * a rack of N, and the contention-free oracle and the QoS search
+ * (driver/qos.hh) go through the same code.
  */
 
 #ifndef UMANY_DRIVER_EXPERIMENT_HH
@@ -116,7 +119,8 @@ struct ExperimentConfig
 };
 
 /**
- * Run one experiment to completion and collect metrics.
+ * Run one experiment to completion and collect metrics: the rack
+ * runner on a rack of one package.
  * @param stats_out When non-null, also filled with the full
  *        gem5-style statistics dump of the finished simulation.
  * @param attrib_out When non-null and attribution is on (via
@@ -130,8 +134,10 @@ RunMetrics runExperiment(const ServiceCatalog &catalog,
 
 /**
  * Contention-free per-endpoint average execution time: a low-load
- * run with ICN contention disabled. Used to derive the §6.5 QoS
- * thresholds (5x this average).
+ * Poisson run with ICN contention disabled, on the base config's
+ * machine and cluster. The base config's load, faults, QoS
+ * thresholds and observability are ignored. Used to derive the §6.5
+ * QoS thresholds (5x this average).
  */
 std::map<ServiceId, Tick>
 contentionFreeAverages(const ServiceCatalog &catalog,

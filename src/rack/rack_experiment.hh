@@ -1,13 +1,10 @@
 /**
  * @file
- * Rack experiment runner: the rack-scale twin of
- * driver/experiment.hh. Builds a RackSim, applies rack-wide load
- * through the front-end load balancer, trims warmup, drains, and
- * collects rack-level metrics and statistics.
- *
- * With packages == 1 the rack layer is inert and every output
- * (metrics, stats, artifacts) is byte-identical to runExperiment()
- * on the same ExperimentConfig — tests pin this.
+ * Rack experiments: the configuration of a run over N packages
+ * behind the front-end load balancer. The runner itself lives in
+ * driver/experiment.cc; runExperiment() is this runner on a rack of
+ * one package, where the rack layer is inert and adds nothing to
+ * any output.
  */
 
 #ifndef UMANY_RACK_RACK_EXPERIMENT_HH
@@ -41,18 +38,11 @@ struct RackExperimentConfig
      * uses base.machine everywhere; otherwise one entry per package.
      */
     std::vector<MachineParams> machines;
-    /**
-     * Independent MMPP/arrival streams in the load generator
-     * (workload/loadgen.hh): 0 (default) scales the Alibaba
-     * generator across the rack with one stream per package; any
-     * other value is used verbatim (1 = the single-stream legacy
-     * generator).
-     */
-    std::uint32_t arrivalStreams = 0;
 };
 
 /**
- * Run one rack experiment to completion.
+ * Run one rack experiment to completion. The load generator runs
+ * one arrival stream per package.
  * @param stats_out When non-null, filled with the rack statistics
  *        dump (rack.* aggregates plus every package's stats under a
  *        "pkgN." prefix; with one package, exactly collectStats()).
@@ -63,24 +53,6 @@ RunMetrics runRackExperiment(const ServiceCatalog &catalog,
                              const RackExperimentConfig &cfg,
                              StatsDump *stats_out = nullptr,
                              AttribResult *attrib_out = nullptr);
-
-/**
- * Rack-level metrics: merged (client-observed) latency histograms,
- * counters summed across packages plus LB sheds, utilizations
- * averaged over every server in the rack with link utilization
- * weighted by fabric-link count. With one package, byte-identical
- * to collectMetrics() on that package.
- */
-RunMetrics collectRackMetrics(RackSim &rack,
-                              const ServiceCatalog &catalog,
-                              Tick measure_time, double offered_rps);
-
-/**
- * Rack statistics dump: rack.* LB/placement/fabric aggregates
- * followed by each package's full collectStats() tree under a
- * "pkgN." prefix. With one package, exactly collectStats().
- */
-StatsDump collectRackStats(RackSim &rack);
 
 } // namespace umany
 

@@ -82,11 +82,11 @@ enum class BranchClass : std::uint8_t
 
 struct StaticBranch
 {
-    std::uint64_t pc;
-    BranchClass cls;
-    std::uint32_t period;  //!< Loop trip count.
+    std::uint64_t pc = 0;
+    BranchClass cls = BranchClass::Biased;
+    std::uint32_t period = 1; //!< Loop trip count.
     std::uint32_t counter = 0;
-    double bias;
+    double bias = 0.5;
     std::vector<unsigned> taps; //!< History positions (Correlated).
     bool invert = false;   //!< Invert the vote (keeps the global
                            //!< history mixed instead of collapsing

@@ -9,6 +9,19 @@
 namespace umany
 {
 
+namespace
+{
+
+/** A request id for a message: ids are 64-bit, and a rack package
+ *  keeps its index in the high bits. */
+unsigned long long
+idOf(const ServiceRequest &req)
+{
+    return static_cast<unsigned long long>(req.id());
+}
+
+} // namespace
+
 thread_local InvariantChecker *InvariantChecker::active_ = nullptr;
 
 InvariantChecker::InvariantChecker(std::uint64_t auditPeriod)
@@ -56,7 +69,7 @@ InvariantChecker::track(const ServiceRequest &req, const char *hook)
 {
     auto it = reqs_.find(req.id());
     if (it == reqs_.end()) {
-        expect(false, "req %u: %s before any enqueue", req.id(),
+        expect(false, "req %llu: %s before any enqueue", idOf(req),
                hook);
         return nullptr;
     }
@@ -77,8 +90,8 @@ InvariantChecker::onEnqueue(const ServiceRequest &req)
     }
     // Re-enqueue after unblocking.
     expect(t.phase == Ph::Blocked,
-           "req %u: re-enqueued while not blocked (phase %u)",
-           req.id(), static_cast<unsigned>(t.phase));
+           "req %llu: re-enqueued while not blocked (phase %u)",
+           idOf(req), static_cast<unsigned>(t.phase));
     t.phase = Ph::Queued;
     t.enqueues += 1;
 }
@@ -91,12 +104,12 @@ InvariantChecker::onDequeue(const ServiceRequest &req)
     if (t == nullptr)
         return;
     expect(t->phase == Ph::Queued,
-           "req %u: dequeued while not queued (phase %u)", req.id(),
+           "req %llu: dequeued while not queued (phase %u)", idOf(req),
            static_cast<unsigned>(t->phase));
     t->phase = Ph::Running;
     t->dequeues += 1;
     expect(t->dequeues == t->enqueues,
-           "req %u: %u dequeues vs %u enqueues", req.id(),
+           "req %llu: %u dequeues vs %u enqueues", idOf(req),
            t->dequeues, t->enqueues);
 }
 
@@ -108,10 +121,10 @@ InvariantChecker::onBlock(const ServiceRequest &req)
     if (t == nullptr)
         return;
     expect(t->phase == Ph::Running,
-           "req %u: blocked while not running (phase %u)", req.id(),
+           "req %llu: blocked while not running (phase %u)", idOf(req),
            static_cast<unsigned>(t->phase));
     expect(req.pendingChildren > 0,
-           "req %u: blocked with no pending children", req.id());
+           "req %llu: blocked with no pending children", idOf(req));
     t->phase = Ph::Blocked;
 }
 
@@ -123,15 +136,15 @@ InvariantChecker::onComplete(const ServiceRequest &req)
     if (t == nullptr)
         return;
     expect(t->phase == Ph::Running,
-           "req %u: completed while not running (phase %u)", req.id(),
-           static_cast<unsigned>(t->phase));
+           "req %llu: completed while not running (phase %u)",
+           idOf(req), static_cast<unsigned>(t->phase));
     t->phase = Ph::Completed;
     t->completes += 1;
-    expect(t->completes == 1, "req %u: completed %u times", req.id(),
+    expect(t->completes == 1, "req %llu: completed %u times", idOf(req),
            t->completes);
     expect(t->dequeues == t->enqueues,
-           "req %u: completed with %u dequeues vs %u enqueues",
-           req.id(), t->dequeues, t->enqueues);
+           "req %llu: completed with %u dequeues vs %u enqueues",
+           idOf(req), t->dequeues, t->enqueues);
 }
 
 void
@@ -142,7 +155,7 @@ InvariantChecker::onSteal(const ServiceRequest &req)
     if (t == nullptr)
         return;
     expect(t->phase == Ph::Queued,
-           "req %u: stolen while not queued (phase %u)", req.id(),
+           "req %llu: stolen while not queued (phase %u)", idOf(req),
            static_cast<unsigned>(t->phase));
     // A steal relocates the queued entry between villages; the
     // request is still queued and its enqueue/dequeue balance is
@@ -158,8 +171,8 @@ InvariantChecker::onPreempt(const ServiceRequest &req)
     if (t == nullptr)
         return;
     expect(t->phase == Ph::Running,
-           "req %u: preempted while not running (phase %u)",
-           req.id(), static_cast<unsigned>(t->phase));
+           "req %llu: preempted while not running (phase %u)",
+           idOf(req), static_cast<unsigned>(t->phase));
     t->phase = Ph::Queued;
     // The preempted request re-enters its queue: count the enqueue
     // so the next dequeue keeps dequeues == enqueues.
@@ -180,7 +193,7 @@ InvariantChecker::onReject(const ServiceRequest &req)
         return;
     }
     expect(t.phase == Ph::Queued && t.dequeues == 0,
-           "req %u: rejected after it started (phase %u)", req.id(),
+           "req %llu: rejected after it started (phase %u)", idOf(req),
            static_cast<unsigned>(t.phase));
     t.phase = Ph::Rejected;
 }
@@ -193,10 +206,10 @@ InvariantChecker::onDestroy(const ServiceRequest &req)
     if (t == nullptr)
         return;
     expect(t->phase == Ph::Completed || t->phase == Ph::Rejected,
-           "req %u: destroyed while still active (phase %u)",
-           req.id(), static_cast<unsigned>(t->phase));
+           "req %llu: destroyed while still active (phase %u)",
+           idOf(req), static_cast<unsigned>(t->phase));
     expect(req.pendingChildren == 0,
-           "req %u: destroyed with %u pending children", req.id(),
+           "req %llu: destroyed with %u pending children", idOf(req),
            req.pendingChildren);
     reqs_.erase(req.id());
 }
@@ -264,9 +277,10 @@ InvariantChecker::finalCheck()
 {
     runAudits();
     expect(reqs_.empty(),
-           "%zu requests still tracked after drain (first id %u)",
+           "%zu requests still tracked after drain (first id %llu)",
            reqs_.size(),
-           reqs_.empty() ? 0u : reqs_.begin()->first);
+           static_cast<unsigned long long>(
+               reqs_.empty() ? 0 : reqs_.begin()->first));
     expect(netSent_ == netDelivered_ + netDropped_,
            "flights outlived their messages: %llu sent vs %llu "
            "delivered + %llu dropped",

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "arch/presets.hh"
 #include "driver/experiment.hh"
 #include "driver/qos.hh"
@@ -103,6 +108,39 @@ TEST(Experiment, ContentionFreeAveragesPositiveAndOrdered)
     const ServiceId cpost = cat.byName("CPost")->id;
     const ServiceId urlshort = cat.byName("UrlShort")->id;
     EXPECT_GT(avgs.at(cpost), avgs.at(urlshort));
+}
+
+TEST(Experiment, ContentionFreeAveragesIgnoreLoadFaultsAndArtifacts)
+{
+    // The oracle is a quiet run of the base machine: the base run's
+    // arrivals, load, faults, QoS thresholds and artifacts must not
+    // leak into it.
+    const ServiceCatalog cat = buildSocialNetwork();
+    ExperimentConfig base = tinyConfig();
+    base.arrivals = ArrivalKind::Bursty;
+    base.rpsPerServer = 40000.0;
+    for (VillageId v = 0; v < 4; ++v) {
+        FaultEvent e;
+        e.kind = FaultKind::VillageDown;
+        e.target = v;
+        base.faults.add(e);
+    }
+    base.qosThresholds[cat.endpoints().front()] = fromUs(1.0);
+    base.obs.traceOut = "test_cfa_trace.json";
+    base.obs.statsJson = "test_cfa_stats.json";
+    base.obs.tailProfile = "test_cfa_tail.json";
+    base.obs.metricsOut = "test_cfa_metrics.txt";
+    base.obs.simProfile = "test_cfa_simprof.json";
+    const std::vector<std::string> artifacts = {
+        base.obs.traceOut, base.obs.statsJson, base.obs.tailProfile,
+        base.obs.metricsOut, base.obs.simProfile};
+    for (const std::string &path : artifacts)
+        std::remove(path.c_str());
+
+    EXPECT_EQ(contentionFreeAverages(cat, base),
+              contentionFreeAverages(cat, tinyConfig()));
+    for (const std::string &path : artifacts)
+        EXPECT_FALSE(std::ifstream(path).good()) << path;
 }
 
 TEST(Qos, SearchFindsThresholdBetweenBounds)

@@ -358,8 +358,9 @@ TEST(FaultCluster, DeadVillagesRedispatchOrShed)
     EXPECT_GT(m.completed, 0u);
     // Village-down runs never arm link-fault state, so dead_links is
     // only present (and zero) if shedding forced the block out.
-    if (stats.has("server0.net.dead_links"))
+    if (stats.has("server0.net.dead_links")) {
         EXPECT_EQ(stats.value("server0.net.dead_links"), 0.0);
+    }
     EXPECT_TRUE(stats.has("cluster.recovery.retries"));
 }
 

@@ -165,8 +165,9 @@ TEST(MetricsRegistry, ExpositionRoundTripsStructurally)
         EXPECT_EQ(*end, '\0') << l;
         const std::string name = l.substr(0, sp);
         const std::size_t open = name.find('{');
-        if (open != std::string::npos)
+        if (open != std::string::npos) {
             EXPECT_EQ(name.back(), '}') << l;
+        }
         EXPECT_EQ(name.rfind("umany_", 0), 0u) << l;
         ++samples;
     }

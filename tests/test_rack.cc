@@ -1,9 +1,9 @@
 /**
  * @file
  * Rack-scale tests: the inter-package network's latency math, the
- * deterministic placement map, one-package byte-identity with the
- * single-package runner, same-seed replay determinism, and package
- * failover behavior under the fault layer.
+ * deterministic placement map, runExperiment() as the one-package
+ * rack, same-seed replay determinism, and package failover behavior
+ * under the fault layer.
  */
 
 #include <gtest/gtest.h>
@@ -110,10 +110,31 @@ TEST(Rack, OnePackageIsByteIdenticalToClusterRunner)
     const RunMetrics rackM =
         runRackExperiment(catalog, rcfg, &rackStats);
 
-    // The rack layer must be inert at N = 1: same bytes in both the
-    // metrics report and the full stats dump.
+    // runExperiment() is the rack of one, where the rack layer is
+    // inert: same bytes in both the metrics report and the full
+    // stats dump. (RackSimParams defaults to two packages, so a
+    // wrapper that forgot packages = 1 would differ.)
     EXPECT_EQ(metricsJson(clusterM), metricsJson(rackM));
     EXPECT_EQ(clusterStats.formatJson(), rackStats.formatJson());
+}
+
+TEST(Rack, OnePackageRunAppliesPackageFaults)
+{
+    // A package fault in a runExperiment() config fails the one
+    // package's villages, as it would in a rack.
+    const ServiceCatalog catalog = buildSocialNetwork();
+    ExperimentConfig cfg = smallBase();
+    cfg.cluster.recovery.enabled = true;
+    FaultEvent down;
+    down.at = cfg.warmup + cfg.measure / 2;
+    down.kind = FaultKind::PackageDown;
+    down.target = 0;
+    cfg.faults.add(down);
+
+    const RunMetrics m = runExperiment(catalog, cfg);
+    EXPECT_GT(m.completed, 0u);
+    EXPECT_GT(m.rejected, 0u);
+    EXPECT_EQ(m.observed, m.completed + m.rejected);
 }
 
 TEST(Rack, SameSeedReplaysByteIdentically)

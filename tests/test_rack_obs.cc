@@ -1,8 +1,8 @@
 /**
  * @file
  * Rack observability tests: the lb/fabric trace tracks and filter
- * tokens, per-track overflow drop counters, one-package trace
- * byte-identity with the single-package runner, cross-package flow
+ * tokens, per-track overflow drop counters, the one-package rack's
+ * trace matching runExperiment()'s, cross-package flow
  * stitching in the merged Chrome trace, OpenMetrics conservation
  * (per-package labeled series vs rack aggregates), the rack tail
  * profile's "which package is slow" ranking, and the rack sampler's
@@ -171,8 +171,9 @@ TEST(RackObs, OnePackageTraceIsByteIdenticalToClusterRunner)
     const std::string racked = readFile(rcfg.base.obs.traceOut);
     std::remove(rcfg.base.obs.traceOut.c_str());
 
-    // The inert rack must not leak into the trace: no pid
-    // namespace, no LB/fabric events, same bytes.
+    // runExperiment() is the rack of one, and the inert rack must
+    // not leak into the trace: no pid namespace, no LB/fabric
+    // events, same bytes.
     ASSERT_FALSE(flat.empty());
     EXPECT_TRUE(flat == racked)
         << "1-package rack trace diverges from the single-package "

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "arch/presets.hh"
 #include "driver/experiment.hh"
@@ -235,31 +237,46 @@ TEST(SimProfilerIntegration, OverheadStaysSmall)
     cfg.warmup = fromMs(2.0);
     cfg.measure = fromMs(200.0);
     cfg.seed = 7;
-
-    using clock = std::chrono::steady_clock;
-    const auto timeRun = [&](const ExperimentConfig &c) {
-        double best = 1e30;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = clock::now();
-            runExperiment(cat, c);
-            const double sec =
-                std::chrono::duration<double>(clock::now() - t0)
-                    .count();
-            best = std::min(best, sec);
-        }
-        return best;
-    };
-
-    runExperiment(cat, cfg); // Warm-up.
-    const double off = timeRun(cfg);
     ExperimentConfig on = cfg;
     on.obs.simProfile = "test_simprof_overhead.json";
-    const double with_prof = timeRun(on);
-    std::remove(on.obs.simProfile.c_str());
 
-    EXPECT_LT(with_prof, off * 1.25)
-        << "sim-profile overhead " << (with_prof / off - 1.0) * 100.0
-        << "%";
+    // CPU time of this thread, so time spent descheduled does not
+    // count against either side.
+    const auto cpuSec = [&](const ExperimentConfig &c) {
+        timespec t0{}, t1{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+        runExperiment(cat, c);
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+        return static_cast<double>(t1.tv_sec - t0.tv_sec) +
+               static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
+    };
+
+    // A shared host runs in slow and fast stretches. Back-to-back
+    // pairs, alternating which side goes first, put both sides of a
+    // ratio in the same stretch; the median ratio ignores the pairs
+    // a stretch boundary split.
+    runExperiment(cat, cfg); // Warm-up.
+    constexpr int kPairs = 7;
+    std::vector<double> ratios;
+    for (int i = 0; i < kPairs; ++i) {
+        double off = 0.0;
+        double with_prof = 0.0;
+        if (i % 2 == 0) {
+            off = cpuSec(cfg);
+            with_prof = cpuSec(on);
+        } else {
+            with_prof = cpuSec(on);
+            off = cpuSec(cfg);
+        }
+        ratios.push_back(with_prof / off);
+    }
+    std::remove(on.obs.simProfile.c_str());
+    std::sort(ratios.begin(), ratios.end());
+    const double median = ratios[kPairs / 2];
+
+    EXPECT_LT(median, 1.25)
+        << "sim-profile overhead " << (median - 1.0) * 100.0
+        << "% (median of " << kPairs << " pairs)";
 }
 
 } // namespace

@@ -80,8 +80,9 @@ TEST(SocialNetwork, CPostIsTheHeaviestEndpoint)
         work[cat.at(ep).name] = s.mean();
     }
     for (const auto &[name, w] : work) {
-        if (name != "CPost")
+        if (name != "CPost") {
             EXPECT_GT(work["CPost"], w) << name;
+        }
     }
     EXPECT_LT(work["UrlShort"], work["HomeT"]);
 }
@@ -97,8 +98,9 @@ TEST(SocialNetwork, NestedCalleesResolve)
             const Behavior b = cat.makeBehavior(s, rng);
             for (const CallGroup &g : b.groups) {
                 for (const CallStep &c : g) {
-                    if (c.kind == CallStep::Kind::Service)
+                    if (c.kind == CallStep::Kind::Service) {
                         EXPECT_LT(c.callee, cat.size());
+                    }
                 }
             }
         }
