@@ -3,20 +3,16 @@
  * Microbenchmark of the simulation kernel: event scheduling and
  * dispatch throughput — the bound on overall simulator speed.
  *
- * Runs every pattern against both the current kernel (InlineFunction
- * callbacks + 4-ary index heap) and the pre-optimization reference
- * kernel (std::function over std::priority_queue, kept here as
- * LegacyEventQueue) so before/after numbers come from one binary and
- * one harness. Reports events/sec and allocations/event (via the
- * global operator-new counting hook).
+ * Runs every pattern against the kernel (InlineFunction callbacks +
+ * 4-ary index heap) with and without a SimProfiler attached. Reports
+ * events/sec and allocations/event (via perfbench's global
+ * operator-new counting hook, linked in by bench/CMakeLists.txt).
  */
 
-#include "bench/alloc_count.hh"
+#include "perfbench/alloc.hh"
 
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <queue>
 
 #include "obs/simprof.hh"
 #include "sim/event_queue.hh"
@@ -28,75 +24,8 @@ namespace umany::bench
 namespace
 {
 
-/** The seed kernel, verbatim: the "before" in before/after. */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return _now; }
-
-    void
-    schedule(Tick when, Callback cb)
-    {
-        heap_.push(Entry{when, nextSeq_++, std::move(cb)});
-    }
-
-    void
-    scheduleAfter(Tick delta, Callback cb)
-    {
-        schedule(_now + delta, std::move(cb));
-    }
-
-    std::uint64_t dispatched() const { return dispatched_; }
-
-    bool
-    step()
-    {
-        if (heap_.empty())
-            return false;
-        Entry e = std::move(const_cast<Entry &>(heap_.top()));
-        heap_.pop();
-        _now = e.when;
-        ++dispatched_;
-        e.cb();
-        return true;
-    }
-
-    void
-    run()
-    {
-        while (step()) {
-        }
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    Tick _now = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::uint64_t dispatched_ = 0;
-};
-
 /**
- * The current kernel with a SimProfiler attached: measures what
+ * The kernel with a SimProfiler attached: measures what
  * --sim-profile costs on the pure kernel hot path (the worst case —
  * real runs spend most time in callbacks, not the kernel).
  */
@@ -175,7 +104,7 @@ randomPattern(Queue &eq, std::int64_t n)
 /**
  * The common simulator pattern: one event chain rescheduling itself
  * (e.g. a load generator). The continuation is a self-referencing
- * struct so both kernels run the identical shape.
+ * struct so both kernel variants run the identical shape.
  */
 template <typename Queue>
 void
@@ -219,11 +148,11 @@ measure(Fn &&pattern, std::int64_t n)
     double elapsed = 0.0;
     while (elapsed < minSeconds) {
         Queue eq;
-        const std::uint64_t a0 = allocsNow();
+        const std::uint64_t a0 = pb::allocsNow();
         const auto t0 = clock::now();
         pattern(eq, n);
         const auto t1 = clock::now();
-        allocs += allocsNow() - a0;
+        allocs += pb::allocsNow() - a0;
         elapsed += std::chrono::duration<double>(t1 - t0).count();
         events += eq.dispatched();
     }
@@ -237,8 +166,7 @@ measure(Fn &&pattern, std::int64_t n)
 struct PatternRow
 {
     const char *name;
-    Measurement legacy;
-    Measurement current;
+    Measurement plain;
     Measurement profiled;
 };
 
@@ -256,17 +184,12 @@ main()
 
     PatternRow rows[] = {
         {"schedule+drain (64k, fifo)",
-         measure<LegacyEventQueue>(
-             [](auto &eq, std::int64_t c) { fifoPattern(eq, c); }, n),
          measure<EventQueue>(
              [](auto &eq, std::int64_t c) { fifoPattern(eq, c); }, n),
          measure<ProfiledEventQueue>(
              [](auto &eq, std::int64_t c) { fifoPattern(eq, c); },
              n)},
         {"random-order dispatch (64k)",
-         measure<LegacyEventQueue>(
-             [](auto &eq, std::int64_t c) { randomPattern(eq, c); },
-             n),
          measure<EventQueue>(
              [](auto &eq, std::int64_t c) { randomPattern(eq, c); },
              n),
@@ -274,9 +197,6 @@ main()
              [](auto &eq, std::int64_t c) { randomPattern(eq, c); },
              n)},
         {"self-rescheduling chain (100k)",
-         measure<LegacyEventQueue>(
-             [](auto &eq, std::int64_t c) { chainPattern(eq, c); },
-             chain),
          measure<EventQueue>(
              [](auto &eq, std::int64_t c) { chainPattern(eq, c); },
              chain),
@@ -285,34 +205,27 @@ main()
              chain)},
     };
 
-    Table t({"pattern", "kernel", "events/sec", "allocs/event",
-             "speedup"});
+    Table t({"pattern", "kernel", "events/sec", "allocs/event"});
     for (const PatternRow &r : rows) {
-        t.addRow({r.name, "legacy (std::function+pq)",
-                  Table::num(r.legacy.eventsPerSec, 0),
-                  Table::num(r.legacy.allocsPerEvent, 3), "1.00"});
-        t.addRow({r.name, "current (inline+4ary)",
-                  Table::num(r.current.eventsPerSec, 0),
-                  Table::num(r.current.allocsPerEvent, 3),
-                  Table::num(r.current.eventsPerSec /
-                             r.legacy.eventsPerSec)});
-        t.addRow({r.name, "current + sim-profile",
+        t.addRow({r.name, "inline+4ary",
+                  Table::num(r.plain.eventsPerSec, 0),
+                  Table::num(r.plain.allocsPerEvent, 3)});
+        t.addRow({r.name, "inline+4ary + sim-profile",
                   Table::num(r.profiled.eventsPerSec, 0),
-                  Table::num(r.profiled.allocsPerEvent, 3),
-                  Table::num(r.profiled.eventsPerSec /
-                             r.legacy.eventsPerSec)});
+                  Table::num(r.profiled.allocsPerEvent, 3)});
     }
     std::printf("%s\n", t.format().c_str());
 
     // Self-profiling overhead on the pure kernel path. Real runs
     // spend most host time inside event callbacks, so end-to-end
-    // overhead is smaller than these worst-case numbers (the <5%
-    // target is pinned end-to-end by tests/test_simprof.cc).
+    // overhead is smaller than these worst-case numbers
+    // (tests/test_simprof.cc pins the end-to-end median
+    // profiled/plain time ratio below 1.25).
     std::printf("sim-profile kernel overhead:");
     for (const PatternRow &r : rows) {
         const double over =
             r.profiled.eventsPerSec > 0.0
-                ? r.current.eventsPerSec / r.profiled.eventsPerSec -
+                ? r.plain.eventsPerSec / r.profiled.eventsPerSec -
                       1.0
                 : 0.0;
         std::printf("  %s: %+.1f%%", r.name, over * 100.0);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Cluster: a group of villages, a shared read-mostly memory pool
- * chiplet, and a network hub that is a leaf of the on-package ICN
- * (§4.1, Fig 10).
+ * Cluster: a group of villages, the ICN endpoint of a shared memory
+ * pool chiplet, and a network hub that is a leaf of the on-package
+ * ICN (§4.1, Fig 10).
  */
 
 #ifndef UMANY_ARCH_CLUSTER_HH
@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "mem/memory_pool.hh"
 #include "noc/message.hh"
 #include "rpc/network_hub.hh"
 #include "sim/types.hh"
@@ -29,7 +28,6 @@ struct Cluster
      *  memory pools, e.g. ServerClass). */
     EndpointId poolEndpoint = invalidId;
 
-    std::unique_ptr<MemoryPool> pool;
     std::unique_ptr<NetworkHub> hub;
 
     Cluster() = default;

@@ -133,18 +133,6 @@ ClusterSim::placeInstances()
                 placed_any = true;
             }
         }
-
-        // Keep snapshots of local services in the cluster pools.
-        for (ClusterId c = 0; c < m.numClusters(); ++c) {
-            MemoryPool *pool = m.cluster(c).pool.get();
-            if (pool == nullptr)
-                continue;
-            for (const VillageId vid : m.cluster(c).villages) {
-                for (const ServiceId s : m.village(vid).services)
-                    pool->storeSnapshot(s,
-                                        catalog_.at(s).snapshotBytes);
-            }
-        }
     }
 }
 

@@ -175,10 +175,8 @@ Machine::buildStructure()
             cl.villages.push_back(c * p_.villagesPerCluster + k);
         cl.hub = std::make_unique<NetworkHub>(
             strprintf("%s.hub%u", name().c_str(), c));
-        if (p_.hasMemoryPool) {
-            cl.pool = std::make_unique<MemoryPool>(p_.pool);
+        if (p_.hasMemoryPool)
             cl.poolEndpoint = c * epl + p_.villagesPerCluster;
-        }
     }
 
     // Software scheduling substrate.

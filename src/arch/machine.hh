@@ -112,7 +112,6 @@ struct MachineParams
     /** Cap on one segment's directory-traffic message. */
     std::uint32_t dirTrafficMaxBytes = 128 * 1024;
     RNicTransportParams rnic;
-    MemoryPoolParams pool;
     /** @} */
 };
 

@@ -22,7 +22,7 @@ enum class MsgClass : std::uint8_t
     Request,     //!< Service request dispatch.
     Response,    //!< RPC response.
     Coherence,   //!< Directory/coherence protocol traffic.
-    BulkData,    //!< Cache warm-up / snapshot / bulk MEM transfers.
+    BulkData,    //!< Cache warm-up data on cross-village migration.
     Control,     //!< Scheduling and bookkeeping messages.
 };
 

@@ -65,7 +65,6 @@ buildSocialNetwork(const AppGraphParams &p)
     ServiceSpec unique_id;
     unique_id.name = "UniqueId";
     unique_id.loadWeight = 0.5;
-    unique_id.snapshotBytes = 4ull << 20;
     unique_id.makeBehavior = [g](Rng &rng) {
         Behavior b;
         b.segments = {g.seg(rng, 25)};

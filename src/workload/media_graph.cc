@@ -64,7 +64,6 @@ buildMediaService(const AppGraphParams &p)
     ServiceSpec movie_id;
     movie_id.name = "MovieId";
     movie_id.loadWeight = 1.0;
-    movie_id.snapshotBytes = 8ull << 20;
     movie_id.makeBehavior = [g](Rng &rng) {
         Behavior b;
         b.segments = {g.seg(rng, 30), g.seg(rng, 20)};

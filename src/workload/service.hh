@@ -30,8 +30,6 @@ struct ServiceSpec
     double mixWeight = 1.0;
     /** Relative expected load, used to size instance placement. */
     double loadWeight = 1.0;
-    /** Snapshot size for memory-pool residency (§3.5, 10s of MB). */
-    std::uint64_t snapshotBytes = 16ull << 20;
     /** Per-request behaviour generator. */
     std::function<Behavior(Rng &)> makeBehavior;
 };

@@ -41,20 +41,6 @@ TEST(ClusterSim, EveryServiceOnEveryServer)
     }
 }
 
-TEST(ClusterSim, SnapshotsResideInPools)
-{
-    EventQueue eq;
-    const ServiceCatalog cat = buildSocialNetwork();
-    ClusterSim sim(eq, cat, uManycoreParams(), smallCluster(1));
-    Machine &m = sim.machine(0);
-    std::uint64_t resident = 0;
-    for (ClusterId c = 0; c < m.numClusters(); ++c) {
-        if (m.cluster(c).pool)
-            resident += m.cluster(c).pool->usedBytes();
-    }
-    EXPECT_GT(resident, 0u);
-}
-
 TEST(ClusterSim, RootsCompleteAndAreRecorded)
 {
     EventQueue eq;

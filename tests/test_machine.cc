@@ -26,9 +26,9 @@ TEST(MachinePresets, UManycoreStructure)
     EXPECT_EQ(m.villageOfCore(0), 0u);
     EXPECT_EQ(m.villageOfCore(8), 1u);
     EXPECT_EQ(m.clusterOfVillage(4), 1u);
-    // Villages have hardware RQs; clusters have pools.
+    // Villages have hardware RQs; clusters have pool endpoints.
     EXPECT_NE(m.village(0).rq, nullptr);
-    EXPECT_NE(m.cluster(0).pool, nullptr);
+    EXPECT_NE(m.cluster(0).poolEndpoint, invalidId);
 }
 
 TEST(MachinePresets, ScaleOutStructure)
@@ -47,7 +47,7 @@ TEST(MachinePresets, ServerClassStructure)
     EXPECT_EQ(m.cores().size(), 40u);
     EXPECT_EQ(m.numVillages(), 40u); // private L2 per core
     EXPECT_EQ(m.topology().name(), "mesh2d");
-    EXPECT_EQ(m.cluster(0).pool, nullptr);
+    EXPECT_EQ(m.cluster(0).poolEndpoint, invalidId);
     EXPECT_LT(m.params().perfFactor, 1.0);
 }
 

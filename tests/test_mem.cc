@@ -1,68 +1,17 @@
 /**
  * @file
- * Tests for the memory pool, the coherence model, and the footprint
- * generator.
+ * Tests for the coherence model and the footprint generator.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/coherence.hh"
 #include "mem/footprint.hh"
-#include "mem/memory_pool.hh"
 
 namespace umany
 {
 namespace
 {
-
-TEST(MemoryPool, SnapshotLifecycle)
-{
-    MemoryPoolParams p;
-    p.capacityBytes = 64 << 20;
-    MemoryPool pool(p);
-    EXPECT_TRUE(pool.storeSnapshot(1, 16 << 20));
-    EXPECT_TRUE(pool.hasSnapshot(1));
-    EXPECT_EQ(pool.snapshotBytes(1), 16u << 20);
-    EXPECT_TRUE(pool.storeSnapshot(2, 32 << 20));
-    // 48 MB used; a 32 MB snapshot no longer fits.
-    EXPECT_FALSE(pool.storeSnapshot(3, 32 << 20));
-    pool.dropSnapshot(1);
-    EXPECT_TRUE(pool.storeSnapshot(3, 32 << 20));
-    EXPECT_EQ(pool.usedBytes(), 64u << 20);
-}
-
-TEST(MemoryPool, DuplicateStoreIsIdempotent)
-{
-    MemoryPool pool{MemoryPoolParams{}};
-    EXPECT_TRUE(pool.storeSnapshot(7, 1 << 20));
-    const std::uint64_t used = pool.usedBytes();
-    EXPECT_TRUE(pool.storeSnapshot(7, 1 << 20));
-    EXPECT_EQ(pool.usedBytes(), used);
-}
-
-TEST(MemoryPool, TransfersSerializeOnEngine)
-{
-    MemoryPool pool{MemoryPoolParams{}};
-    const Tick a = pool.lmemTransfer(0, 1 << 20);
-    const Tick b = pool.lmemTransfer(0, 1 << 20);
-    EXPECT_GT(b, a);
-    // R-MEM is an independent engine: it does not queue behind the
-    // two L-MEM transfers above.
-    const Tick c = pool.rmemTransfer(0, 1 << 20);
-    MemoryPool fresh{MemoryPoolParams{}};
-    EXPECT_EQ(c, fresh.rmemTransfer(0, 1 << 20));
-    EXPECT_EQ(pool.transfers(), 3u);
-}
-
-TEST(MemoryPool, BandwidthScalesTransferTime)
-{
-    MemoryPoolParams p;
-    MemoryPool pool(p);
-    const Tick small = pool.lmemTransfer(0, 1 << 10);
-    MemoryPool pool2(p);
-    const Tick big = pool2.lmemTransfer(0, 1 << 24);
-    EXPECT_GT(big, small);
-}
 
 TEST(Coherence, VillageScopeRestrictsMigration)
 {

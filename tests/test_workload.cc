@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the workload models: service catalog, social-network
- * graph, synthetic distributions, Alibaba generative model, load
- * generator, and snapshot boot model.
+ * graph, synthetic distributions, Alibaba generative model and load
+ * generator.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "workload/alibaba.hh"
 #include "workload/app_graph.hh"
 #include "workload/loadgen.hh"
-#include "workload/snapshot.hh"
 #include "workload/synthetic.hh"
 
 namespace umany
@@ -265,21 +264,6 @@ TEST(LoadGen, StopsAtDeadline)
     gen.start();
     eq.run();
     EXPECT_LT(last, fromMs(100.0));
-}
-
-TEST(Snapshot, WarmBootIsMuchFasterThanCold)
-{
-    const ServiceCatalog cat = buildSocialNetwork();
-    const ServiceSpec &svc = *cat.byName("CPost");
-    MemoryPool pool{MemoryPoolParams{}};
-    SnapshotBootModel boot;
-    // Cold boot: ~300 ms, and it seeds the snapshot.
-    const Tick cold = boot.boot(0, svc, pool);
-    EXPECT_GE(cold, fromMs(300.0));
-    EXPECT_TRUE(pool.hasSnapshot(svc.id));
-    // Warm boot: <10 ms (paper's Catalyzer-style numbers).
-    const Tick warm = boot.boot(cold, svc, pool) - cold;
-    EXPECT_LT(warm, fromMs(10.0));
 }
 
 } // namespace
