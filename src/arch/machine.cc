@@ -352,8 +352,8 @@ Machine::laxityKey() const
 
 void
 Machine::sendIcn(EndpointId src, EndpointId dst, std::uint32_t bytes,
-                 MsgClass cls, Network::DeliverFn fn,
-                 Network::DropFn drop)
+                 MsgClass cls, Network::DeliverFn &&fn,
+                 Network::DropFn &&drop)
 {
     Message m;
     m.src = src;
@@ -1146,7 +1146,7 @@ Machine::outboundRequest(ServiceRequest *req, VillageId from,
     rnic_->onSend();
     sendIcn(villageEndpoint(from), topo_->externalEndpoint(),
             req->reqBytes, MsgClass::Request,
-            [this, req, on_exit = std::move(on_exit)]() {
+            [this, req, on_exit = std::move(on_exit)]() mutable {
                 UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
                     *req, net_->lastDelivery(), curTick()));
                 Tick t = topNic_->egress(curTick(), req->reqBytes);
@@ -1154,7 +1154,7 @@ Machine::outboundRequest(ServiceRequest *req, VillageId from,
                 UMANY_ATTRIB(AttribRegistry::active()->charge(
                     *req, AttribComp::NicDispatch, t));
                 eventq().schedule(t, EvTag{EvSrc::RpcNic},
-                                  on_exit);
+                                  std::move(on_exit));
             });
 }
 

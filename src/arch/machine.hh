@@ -398,8 +398,8 @@ class Machine : public SimObject
     /** Send an ICN message and run @p fn on delivery; a non-null
      *  @p drop runs instead when the pair is partitioned. */
     void sendIcn(EndpointId src, EndpointId dst, std::uint32_t bytes,
-                 MsgClass cls, Network::DeliverFn fn,
-                 Network::DropFn drop = nullptr);
+                 MsgClass cls, Network::DeliverFn &&fn,
+                 Network::DropFn &&drop = nullptr);
 
     /**
      * Structural conservation laws audited by the invariant checker

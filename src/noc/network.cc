@@ -1,7 +1,6 @@
 #include "noc/network.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "fault/fault_state.hh"
 #include "obs/trace.hh"
@@ -37,22 +36,40 @@ Network::Network(std::string name, EventQueue &eq, const Topology &topo,
     state_.assign(topo_.links().size(), LinkState{});
 }
 
-void
-Network::send(const Message &msg, DeliverFn on_deliver)
+Network::Flight *
+Network::acquireFlight()
 {
-    send(msg, std::move(on_deliver), DropFn{});
+    if (freeFlights_.empty()) {
+        flights_.push_back(std::make_unique<Flight>());
+        return flights_.back().get();
+    }
+    Flight *flight = freeFlights_.back();
+    freeFlights_.pop_back();
+    return flight;
 }
 
 void
-Network::send(const Message &msg, DeliverFn on_deliver,
-              DropFn on_drop)
+Network::releaseFlight(Flight *flight)
+{
+    // Drop an undelivered callback's captures now, not at reuse.
+    flight->deliver = nullptr;
+    freeFlights_.push_back(flight);
+}
+
+void
+Network::send(const Message &msg, DeliverFn &&on_deliver,
+              DropFn &&on_drop)
 {
     ++sent_;
     UMANY_INVARIANT(InvariantChecker::active()->onNetSend());
-    auto flight = std::make_shared<Flight>();
+    Flight *flight = acquireFlight();
     flight->msg = msg;
+    flight->hop = 0;
     flight->start = curTick();
+    flight->queued = 0;
     flight->epoch = epoch_;
+    flight->retx = 0;
+    flight->levelTicks = {};
     flight->deliver = std::move(on_deliver);
     const bool routed =
         topo_.route(msg.src, msg.dst, rng_, flight->path, faults_);
@@ -65,10 +82,11 @@ Network::send(const Message &msg, DeliverFn on_deliver,
                 curTick(), tracePid_, traceIcnTrack, "icn.drop",
                 (static_cast<std::uint64_t>(msg.src) << 32) | msg.dst,
                 static_cast<double>(msg.bytes)));
+            releaseFlight(flight);
             scheduleAfter(0, EvTag{EvSrc::NocDeliver},
                           std::move(on_drop));
         } else {
-            degrade(std::move(flight));
+            degrade(flight);
         }
         return;
     }
@@ -83,21 +101,22 @@ Network::send(const Message &msg, DeliverFn on_deliver,
         latency_.add(0);
         queueDelay_.add(0);
         traceDelivery(*flight);
-        auto deliver = std::move(flight->deliver);
-        scheduleAfter(0, EvTag{EvSrc::NocDeliver}, std::move(deliver));
+        scheduleAfter(0, EvTag{EvSrc::NocDeliver},
+                      std::move(flight->deliver));
+        releaseFlight(flight);
         return;
     }
-    hop(std::move(flight));
+    hop(flight);
 }
 
 void
-Network::hop(std::shared_ptr<Flight> flight)
+Network::hop(Flight *flight)
 {
     const LinkId id = flight->path[flight->hop];
     if (faults_ != nullptr && !faults_->linkUp(id)) {
         // The next link died while the message was in flight:
         // retransmit from the source over the surviving paths.
-        retransmit(std::move(flight));
+        retransmit(flight);
         return;
     }
     const LinkSpec &spec = topo_.links()[id];
@@ -128,47 +147,46 @@ Network::hop(std::shared_ptr<Flight> flight)
             spec.level, kIcnLevels - 1)] +=
         spec.latency + (last_hop ? ser : 0));
 
-    // Owned by the callback, not released raw: flights pending in a
-    // destroyed event queue are freed rather than leaked.
+    // The pool owns the flight; the event only points at it.
     const EvTag tag{last_hop ? EvSrc::NocDeliver : EvSrc::NocHop};
-    eventq().schedule(arrival, tag, [this, f = std::move(flight)]() {
-        if (f->hop >= f->path.size()) {
+    eventq().schedule(arrival, tag, [this, flight]() {
+        if (flight->hop >= flight->path.size()) {
             if (faults_ != nullptr &&
                 faults_->corruptProb() > 0.0 &&
                 faultRng_.chance(faults_->corruptProb())) {
-                if (f->epoch == epoch_)
+                if (flight->epoch == epoch_)
                     ++corruptRetx_;
-                retransmit(f);
+                retransmit(flight);
                 return;
             }
-            finishDelivery(*f);
+            finishDelivery(flight);
         } else {
-            hop(f);
+            hop(flight);
         }
     });
 }
 
 void
-Network::retransmit(std::shared_ptr<Flight> flight)
+Network::retransmit(Flight *flight)
 {
     flight->retx += 1;
     if (flight->retx > maxRetransmits) {
-        degrade(std::move(flight));
+        degrade(flight);
         return;
     }
     if (flight->epoch == epoch_)
         ++reroutes_;
     if (!topo_.route(flight->msg.src, flight->msg.dst, rng_,
                      flight->path, faults_)) {
-        degrade(std::move(flight));
+        degrade(flight);
         return;
     }
     flight->hop = 0;
-    hop(std::move(flight));
+    hop(flight);
 }
 
 void
-Network::degrade(std::shared_ptr<Flight> flight)
+Network::degrade(Flight *flight)
 {
     // No surviving path (or retransmissions exhausted): model the
     // end-host loss-recovery timeout as a fixed penalty instead of
@@ -182,30 +200,32 @@ Network::degrade(std::shared_ptr<Flight> flight)
             flight->msg.dst,
         static_cast<double>(flight->msg.bytes)));
     eventq().scheduleAfter(degradedPenalty, EvTag{EvSrc::NocDeliver},
-                           [this, f = std::move(flight)]() {
-                               finishDelivery(*f);
-                           });
+                           [this, flight]() { finishDelivery(flight); });
 }
 
 void
-Network::finishDelivery(const Flight &flight)
+Network::finishDelivery(Flight *flight)
 {
     UMANY_INVARIANT(InvariantChecker::active()->onNetDeliver());
     // Only same-window flights count toward window stats: a message
     // in flight across clearStats() would otherwise record a
     // delivery without a matching send.
-    if (flight.epoch == epoch_) {
+    if (flight->epoch == epoch_) {
         ++delivered_;
-        latency_.add(curTick() - flight.start);
-        queueDelay_.add(flight.queued);
+        latency_.add(curTick() - flight->start);
+        queueDelay_.add(flight->queued);
     }
     UMANY_ATTRIB({
-        lastDelivery_.queued = flight.queued;
-        lastDelivery_.level = flight.levelTicks;
+        lastDelivery_.queued = flight->queued;
+        lastDelivery_.level = flight->levelTicks;
         lastDelivery_.valid = true;
     });
-    traceDelivery(flight);
-    flight.deliver();
+    traceDelivery(*flight);
+    // Free the flight before the callback runs: the callback may
+    // send, and that send may reuse this very flight.
+    DeliverFn deliver = std::move(flight->deliver);
+    releaseFlight(flight);
+    deliver();
 }
 
 void

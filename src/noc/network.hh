@@ -8,13 +8,13 @@
 #ifndef UMANY_NOC_NETWORK_HH
 #define UMANY_NOC_NETWORK_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "noc/message.hh"
 #include "noc/topology.hh"
 #include "obs/attrib.hh"
+#include "sim/inline_function.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "stats/histogram.hh"
@@ -34,8 +34,9 @@ namespace umany
 class Network : public SimObject
 {
   public:
-    using DeliverFn = std::function<void()>;
-    using DropFn = std::function<void()>;
+    /** Inline callbacks: every simulator capture fits the buffer. */
+    using DeliverFn = InlineFunction<void()>;
+    using DropFn = InlineFunction<void()>;
 
     /**
      * @param topo Topology to route over; must outlive the network.
@@ -64,20 +65,16 @@ class Network : public SimObject
      * Send a message; @p on_deliver runs when it arrives at the
      * destination endpoint.
      *
-     * When the pair is partitioned (possible only with fault state
-     * attached) and no @p on_drop was given, delivery degrades to a
-     * fixed loss-recovery penalty instead of dropping, so lifecycle
-     * messages are late but never lost.
+     * Traffic that may be dropped on partition passes @p on_drop,
+     * which then runs instead of @p on_deliver when no live path
+     * exists at injection time. When the pair is partitioned
+     * (possible only with fault state attached) and no @p on_drop
+     * was given, delivery degrades to a fixed loss-recovery penalty
+     * instead of dropping, so lifecycle messages are late but never
+     * lost.
      */
-    void send(const Message &msg, DeliverFn on_deliver);
-
-    /**
-     * Send variant for traffic that may be dropped on partition:
-     * @p on_drop (if non-null) runs instead of @p on_deliver when no
-     * live path exists at injection time.
-     */
-    void send(const Message &msg, DeliverFn on_deliver,
-              DropFn on_drop);
+    void send(const Message &msg, DeliverFn &&on_deliver,
+              DropFn &&on_drop = nullptr);
 
     /** Contention-free latency oracle for this topology. */
     Tick
@@ -167,6 +164,12 @@ class Network : public SimObject
     /** Fixed end-host loss-recovery penalty for degraded delivery. */
     static constexpr Tick degradedPenalty = 25 * tickPerUs;
 
+    /**
+     * One message in flight. Flights are pooled: send() takes one
+     * from the free list and delivery (or a drop) returns it, and a
+     * recycled flight keeps its path's capacity, so a warm network
+     * routes and delivers without touching the allocator.
+     */
     struct Flight
     {
         Message msg;
@@ -181,12 +184,17 @@ class Network : public SimObject
         DeliverFn deliver;
     };
 
+    std::vector<std::unique_ptr<Flight>> flights_;  //!< Owns the pool.
+    std::vector<Flight *> freeFlights_;  //!< Idle pooled flights.
+
     IcnDeliveryDetail lastDelivery_;
 
-    void hop(std::shared_ptr<Flight> flight);
-    void retransmit(std::shared_ptr<Flight> flight);
-    void degrade(std::shared_ptr<Flight> flight);
-    void finishDelivery(const Flight &flight);
+    Flight *acquireFlight();
+    void releaseFlight(Flight *flight);
+    void hop(Flight *flight);
+    void retransmit(Flight *flight);
+    void degrade(Flight *flight);
+    void finishDelivery(Flight *flight);
     void traceDelivery(const Flight &flight);
 };
 

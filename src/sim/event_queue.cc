@@ -40,19 +40,18 @@ EventQueue::schedule(Tick when, EvTag tag, Callback cb)
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.push_back(std::move(cb));
     }
-    heap_.push_back(Node{when, nextSeq_++, slot, tag.src});
-    siftUp(heap_.size() - 1);
-}
-
-EventQueue::Node
-EventQueue::popTop()
-{
-    const Node top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
+    const Node n{when, nextSeq_++, slot, tag.src};
+    if (held_) {
+        // The running event's node is still the root: replace it.
+        // Successors are often due soon, and then the sift stops
+        // at once.
+        held_ = false;
+        heap_.front() = n;
         siftDown(0);
-    return top;
+    } else {
+        heap_.push_back(n);
+        siftUp(heap_.size() - 1);
+    }
 }
 
 void
@@ -69,36 +68,63 @@ EventQueue::siftUp(std::size_t i)
     heap_[i] = n;
 }
 
+std::size_t
+EventQueue::minChild(std::size_t i, std::size_t count) const
+{
+    const std::size_t first = i * arity + 1;
+    if (first >= count)
+        return count;
+    const std::size_t last =
+        first + arity < count ? first + arity : count;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+        if (before(heap_[c], heap_[best]))
+            best = c;
+    }
+    return best;
+}
+
 void
 EventQueue::siftDown(std::size_t i)
 {
     const std::size_t count = heap_.size();
     const Node n = heap_[i];
     for (;;) {
-        const std::size_t first = i * arity + 1;
-        if (first >= count)
+        const std::size_t c = minChild(i, count);
+        if (c == count || !before(heap_[c], n))
             break;
-        const std::size_t last =
-            first + arity < count ? first + arity : count;
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (before(heap_[c], heap_[best]))
-                best = c;
-        }
-        if (!before(heap_[best], n))
-            break;
-        heap_[i] = heap_[best];
-        i = best;
+        heap_[i] = heap_[c];
+        i = c;
     }
     heap_[i] = n;
+}
+
+void
+EventQueue::popRoot()
+{
+    // Bottom-up: the last node is usually a far-future event, so sink
+    // the hole along the earliest children without comparing against
+    // it, then refill the hole with the last node and sift that up.
+    const Node last = heap_.back();
+    heap_.pop_back();
+    const std::size_t count = heap_.size();
+    if (count == 0)
+        return;
+    std::size_t i = 0;
+    for (std::size_t c; (c = minChild(i, count)) < count; i = c)
+        heap_[i] = heap_[c];
+    heap_[i] = last;
+    siftUp(i);
 }
 
 bool
 EventQueue::step()
 {
+    if (held_)
+        panic("EventQueue::step() called from inside a handler");
     if (heap_.empty())
         return false;
-    const Node top = popTop();
+    const Node top = heap_.front();
     // Move the callback out before invoking: the callback may
     // schedule new events and grow the slab, and its slot must be
     // reusable by those insertions.
@@ -106,7 +132,13 @@ EventQueue::step()
     free_.push_back(top.slot);
     _now = top.when;
     ++dispatched_;
+    held_ = true;
     cb();
+    if (held_) {
+        // The handler scheduled nothing (and did not reset()).
+        held_ = false;
+        popRoot();
+    }
     if (prof_ != nullptr)
         prof_->onExecuted(EvTag{top.src}, heap_.size(), _now);
     return true;
@@ -156,6 +188,7 @@ EventQueue::reset()
     heap_.clear();
     slab_.clear();
     free_.clear();
+    held_ = false;
     _now = 0;
     nextSeq_ = 0;
     dispatched_ = 0;

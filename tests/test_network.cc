@@ -6,9 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "arch/presets.hh"
+#include "driver/experiment.hh"
+#include "fault/fault_state.hh"
+#include "noc/fat_tree.hh"
 #include "noc/leaf_spine.hh"
 #include "noc/mesh.hh"
 #include "noc/network.hh"
+#include "workload/app_graph.hh"
 
 namespace umany
 {
@@ -217,6 +226,134 @@ TEST(NetworkMesh, CornerNicConcentratesTraffic)
     eq.run();
     EXPECT_GT(net.maxLinkUtilization(),
               4.0 * net.meanLinkUtilization());
+}
+
+/**
+ * A message that, on delivery, sends the next one back the other
+ * way. It logs its own remaining count *after* that send, so if the
+ * callback ran from storage the send had already reused, the log
+ * would show the next message's count instead.
+ */
+struct Bounce
+{
+    EventQueue *eq;
+    Network *net;
+    std::vector<std::pair<int, Tick>> *log;
+    EndpointId at;
+    EndpointId other;
+    int left;
+
+    void
+    operator()() const
+    {
+        if (left > 0) {
+            Message m;
+            m.src = at;
+            m.dst = other;
+            m.bytes = 512;
+            net->send(m, Bounce{eq, net, log, other, at, left - 1});
+        }
+        log->emplace_back(left, eq->now());
+    }
+};
+
+TEST_F(NetworkFixture, DeliverCallbackCanReuseItsFlight)
+{
+    // Delivery returns the flight to the pool before the callback
+    // runs, so the callback's send takes that same flight at once.
+    const EndpointId a = 0;
+    const EndpointId b = 31 * 5;
+    const Tick there = net.idealLatency(a, b, 512);
+    const Tick back = net.idealLatency(b, a, 512);
+    std::vector<std::pair<int, Tick>> log;
+    Message m;
+    m.src = a;
+    m.dst = b;
+    m.bytes = 512;
+    net.send(m, Bounce{&eq, &net, &log, b, a, 3});
+    eq.run();
+    const std::vector<std::pair<int, Tick>> want = {
+        {3, there},
+        {2, there + back},
+        {1, 2 * there + back},
+        {0, 2 * there + 2 * back},
+    };
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(net.messagesSent(), 4u);
+    EXPECT_EQ(net.messagesDelivered(), 4u);
+}
+
+TEST(NetworkPool, DroppedSendsReleaseFlightsAndCallbacks)
+{
+    EventQueue eq;
+    FatTree topo{FatTreeParams{}};
+    FaultState faults(topo);
+    Network net("net", eq, topo, 1);
+    net.setFaultState(&faults);
+
+    Rng rng(1);
+    std::vector<LinkId> path;
+    ASSERT_TRUE(topo.route(0, 31 * 5, rng, path, &faults));
+    faults.setLinkUp(path[1], false);
+
+    Message m;
+    m.src = 0;
+    m.dst = 31 * 5;
+    m.bytes = 256;
+    // The token rides in every undelivered callback: once the drops
+    // have run, nothing (the pool included) may still hold it.
+    const auto token = std::make_shared<int>(0);
+    int delivered = 0;
+    int dropped = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 40; ++i) {
+            net.send(m, [&delivered, token]() { ++delivered; },
+                     [&dropped]() { ++dropped; });
+        }
+        eq.run();
+    }
+    EXPECT_EQ(dropped, 120);
+    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(net.messagesDropped(), 120u);
+    EXPECT_EQ(token.use_count(), 1);
+
+    // Healed, the same pair delivers again on recycled flights; the
+    // first message of the burst sees no contention.
+    faults.setLinkUp(path[1], true);
+    const Tick sent_at = eq.now();
+    std::vector<Tick> arrivals;
+    for (int i = 0; i < 40; ++i)
+        net.send(m, [&]() { arrivals.push_back(eq.now()); });
+    eq.run();
+    ASSERT_EQ(arrivals.size(), 40u);
+    EXPECT_EQ(arrivals.front(),
+              sent_at + net.idealLatency(0, 31 * 5, 256));
+    EXPECT_EQ(net.messagesDelivered(), 40u);
+    EXPECT_EQ(net.messagesDropped(), 120u);
+}
+
+TEST(NetworkPool, ExperimentMessageCallbacksStayInline)
+{
+    // Every capture on the message path (deliver and drop callbacks,
+    // and the events they schedule) fits InlineFunction's buffer. A
+    // heap fallback here would cost an allocation per message.
+    const ServiceCatalog cat = buildSocialNetwork();
+    for (const MachineParams &machine :
+         {uManycoreParams(), serverClassParams()}) {
+        ExperimentConfig cfg;
+        cfg.machine = machine;
+        cfg.cluster.numServers = 2;
+        cfg.warmup = fromMs(5.0);
+        cfg.measure = fromMs(20.0);
+        cfg.seed = 3;
+        const std::uint64_t before =
+            EventQueue::Callback::heapAllocations();
+        const RunMetrics m = runExperiment(cat, cfg);
+        EXPECT_GT(m.completed, 0u) << machine.name;
+        EXPECT_GT(m.icnMessages, 0u) << machine.name;
+        EXPECT_EQ(EventQueue::Callback::heapAllocations(), before)
+            << machine.name;
+    }
 }
 
 } // namespace
