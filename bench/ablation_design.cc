@@ -112,23 +112,7 @@ main(int argc, char **argv)
         addRow("ICN contention", "ScaleOut", noc, on);
     }
 
-    // 5. Partitioned RQ (§4.3's advanced design) on μManycore.
-    {
-        MachineParams base = uManycoreParams();
-        MachineParams part = base;
-        part.rq.partitioned = true;
-        std::fprintf(stderr, "partitioned-rq ablation...\n");
-        const double plain =
-            run(catalog, base, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double partitioned =
-            run(catalog, part, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        addRow("partitioned RQ (RQ_Map)", "uManycore", plain,
-               partitioned);
-    }
-
-    // 6. Village migration scope: μManycore with 16-core villages.
+    // 5. Village migration scope: μManycore with 16-core villages.
     {
         MachineParams base = uManycoreParams();
         const MachineParams big =
@@ -143,7 +127,7 @@ main(int argc, char **argv)
         addRow("16-core villages", "uManycore", small_v, big_v);
     }
 
-    // 7. §8 future work: heterogeneous villages (25% big cores).
+    // 6. §8 future work: heterogeneous villages (25% big cores).
     {
         MachineParams base = uManycoreParams();
         MachineParams hetero = base;

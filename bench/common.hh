@@ -24,46 +24,6 @@
 namespace umany::bench
 {
 
-/** Read the shared observability flags out of a parsed Config. */
-inline ObsConfig
-obsFromConfig(const Config &cfg)
-{
-    ObsConfig obs;
-    obs.traceOut = cfg.getString("trace_out", "");
-    obs.statsJson = cfg.getString("stats_json", "");
-    const double us = cfg.getDouble("sample_interval_us", 0.0);
-    if (us < 0.0)
-        fatal("sample_interval_us must be >= 0 (got %g)", us);
-    obs.sampleInterval = fromUs(us);
-    obs.traceCapacity = static_cast<std::size_t>(cfg.getInt(
-        "trace_capacity",
-        static_cast<std::int64_t>(TraceSink::defaultCapacity)));
-    obs.traceFilter = cfg.getString("trace_filter", "");
-    obs.attrib = cfg.getBool("attrib", false);
-    obs.tailProfile = cfg.getString("tail_profile", "");
-    obs.metricsOut = cfg.getString("metrics_out", "");
-    const std::int64_t top_k = cfg.getInt("tail_topk", 32);
-    if (top_k <= 0)
-        fatal("tail_topk must be positive (got %lld)",
-              static_cast<long long>(top_k));
-    obs.tailTopK = static_cast<std::size_t>(top_k);
-    obs.simProfile = cfg.getString("sim_profile", "");
-    // --progress=SEC sets the heartbeat period; the boolean
-    // spellings (--progress=on) pick a 5-second default.
-    const std::string prog = cfg.getString("progress", "");
-    if (prog == "true" || prog == "yes" || prog == "on") {
-        obs.progressSec = 5.0;
-    } else if (!prog.empty() && prog != "false" && prog != "no" &&
-               prog != "off") {
-        obs.progressSec = cfg.getDouble("progress");
-        if (obs.progressSec < 0.0)
-            fatal("progress must be >= 0 seconds (got %g)",
-                  obs.progressSec);
-    }
-    obs.runSummary = cfg.getBool("run_summary", false);
-    return obs;
-}
-
 /** Common run-shape options every bench accepts on argv. */
 struct BenchArgs
 {

@@ -18,7 +18,6 @@
 #include "uarch/perceptron.hh"
 #include "uarch/pipeline_model.hh"
 #include "uarch/pythia_lite.hh"
-#include "uarch/stride_prefetcher.hh"
 #include "uarch/trace_gen.hh"
 
 using namespace umany;
@@ -79,19 +78,19 @@ mispredictRate(const std::vector<std::pair<std::uint64_t, bool>> &brs,
 CacheParams
 l1d()
 {
-    return CacheParams{"l1d", 64 * 1024, 8, 64, 2, 20};
+    return CacheParams{"l1d", 64 * 1024, 8, 64, 2};
 }
 
 CacheParams
 l1i()
 {
-    return CacheParams{"l1i", 64 * 1024, 8, 64, 2, 20};
+    return CacheParams{"l1i", 64 * 1024, 8, 64, 2};
 }
 
 CacheParams
 l2()
 {
-    return CacheParams{"l2", 2 * 1024 * 1024, 16, 64, 16, 20};
+    return CacheParams{"l2", 2 * 1024 * 1024, 16, 64, 16};
 }
 
 } // namespace

@@ -98,7 +98,7 @@ BENCHMARK(BM_MeshRoute);
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    Cache cache(CacheParams{"l1", 64 * 1024, 8, 64, 2, 20});
+    Cache cache(CacheParams{"l1", 64 * 1024, 8, 64, 2});
     Rng rng(7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

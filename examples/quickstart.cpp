@@ -59,32 +59,7 @@ main(int argc, char **argv)
         exp.arrivals = ArrivalKind::Bursty;
     exp.machine.dispatch =
         dispatchParamsFromConfig(cfg, exp.machine.dispatch);
-    exp.obs.traceOut = cfg.getString("trace_out", "");
-    exp.obs.statsJson = cfg.getString("stats_json", "");
-    const double sample_us =
-        cfg.getDouble("sample_interval_us", 0.0);
-    if (sample_us < 0.0)
-        fatal("sample_interval_us must be >= 0 (got %g)", sample_us);
-    exp.obs.sampleInterval = fromUs(sample_us);
-    exp.obs.traceCapacity = static_cast<std::size_t>(cfg.getInt(
-        "trace_capacity",
-        static_cast<std::int64_t>(TraceSink::defaultCapacity)));
-    exp.obs.traceFilter = cfg.getString("trace_filter", "");
-    exp.obs.attrib = cfg.getBool("attrib", false);
-    exp.obs.tailProfile = cfg.getString("tail_profile", "");
-    exp.obs.metricsOut = cfg.getString("metrics_out", "");
-    exp.obs.tailTopK = static_cast<std::size_t>(
-        cfg.getInt("tail_topk", 32));
-    exp.obs.simProfile = cfg.getString("sim_profile", "");
-    // Bare "--progress" means "heartbeat at the default period".
-    const std::string progress = cfg.getString("progress", "");
-    if (progress == "true")
-        exp.obs.progressSec = 5.0;
-    else if (!progress.empty())
-        exp.obs.progressSec = cfg.getDouble("progress");
-    if (exp.obs.progressSec < 0.0)
-        fatal("progress must be >= 0 (got %g)", exp.obs.progressSec);
-    exp.obs.runSummary = cfg.getBool("run_summary", false);
+    exp.obs = obsFromConfig(cfg);
 
     const ServiceCatalog catalog =
         cfg.getString("app", "social") == "media"

@@ -173,8 +173,6 @@ Machine::buildStructure()
         Cluster &cl = clusters_.back();
         for (std::uint32_t k = 0; k < p_.villagesPerCluster; ++k)
             cl.villages.push_back(c * p_.villagesPerCluster + k);
-        cl.hub = std::make_unique<NetworkHub>(
-            strprintf("%s.hub%u", name().c_str(), c));
         if (p_.hasMemoryPool)
             cl.poolEndpoint = c * epl + p_.villagesPerCluster;
     }
@@ -287,9 +285,6 @@ Machine::installInstance(ServiceId service, VillageId village)
     if (village >= villages_.size())
         fatal("installInstance: village %u out of range", village);
     serviceMap_.addInstance(service, village);
-    villages_[village].services.push_back(service);
-    if (villages_[village].rq)
-        villages_[village].rq->registerService(service);
 }
 
 VillageId
@@ -707,7 +702,7 @@ Machine::trySteal(CoreId core, Tick &done)
             tryWakeVillage(victim);
         }
         if (req != nullptr) {
-            hv.rq->adoptStolen(req->service());
+            hv.rq->adoptStolen();
             req->village = home;
             ++steals_;
             UMANY_INVARIANT(
@@ -1112,7 +1107,6 @@ void
 Machine::externalResponse(ServiceRequest *parent, std::uint32_t bytes)
 {
     const Tick t0 = topNic_->ingress(curTick(), bytes);
-    rnic_->onAck();
     eventq().schedule(t0, EvTag{EvSrc::RpcNic},
                       [this, parent, bytes]() {
         sendIcn(topo_->externalEndpoint(),
@@ -1143,7 +1137,6 @@ void
 Machine::outboundRequest(ServiceRequest *req, VillageId from,
                          std::function<void()> on_exit)
 {
-    rnic_->onSend();
     sendIcn(villageEndpoint(from), topo_->externalEndpoint(),
             req->reqBytes, MsgClass::Request,
             [this, req, on_exit = std::move(on_exit)]() mutable {

@@ -34,13 +34,11 @@ struct Village
     /** L/R port cost model (shared; ports differ in transport). */
     std::unique_ptr<VillageNic> nic;
 
-    /** Services with an instance in this village. */
-    std::vector<ServiceId> services;
-
     Village() = default;
-    Village(VillageId vid, ClusterId cid, EndpointId ep);
-
-    bool hostsService(ServiceId s) const;
+    Village(VillageId vid, ClusterId cid, EndpointId ep)
+        : id(vid), cluster(cid), endpoint(ep)
+    {
+    }
 };
 
 } // namespace umany

@@ -16,6 +16,7 @@
 #include "obs/simprof.hh"
 #include "rack/rack_experiment.hh"
 #include "rack/rack_sampler.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "stats/metrics_registry.hh"
 #include "validate/invariants.hh"
@@ -214,22 +215,17 @@ rackTailJson(RackSim &rack, const TailProfiler &prof)
 }
 
 /**
- * Rack-level metrics: merged (client-observed) latency histograms,
- * counters summed across packages plus LB sheds, utilizations
- * averaged over every server in the rack with link utilization
- * weighted by fabric-link count.
+ * Run metrics: merged (client-observed) latency histograms, counters
+ * summed across packages plus LB sheds, and utilizations averaged
+ * over every server in the rack. Link utilization is the plain
+ * per-server mean when every server has the same fabric-link count;
+ * otherwise it is weighted by that count, since a plain mean would
+ * over-weight the small networks of a heterogeneous rack.
  */
 RunMetrics
 collectRackMetrics(RackSim &rack, const ServiceCatalog &catalog,
                    Tick measure_time, double offered_rps)
 {
-    if (rack.numPackages() == 1) {
-        // Inert rack: the single-package collector keeps the FP
-        // summation order (and thus every golden byte).
-        return collectMetrics(rack.package(0), catalog,
-                              measure_time, offered_rps);
-    }
-
     RunMetrics m;
     for (const ServiceId ep : catalog.endpoints()) {
         m.perEndpoint[catalog.at(ep).name] =
@@ -248,37 +244,42 @@ collectRackMetrics(RackSim &rack, const ServiceCatalog &catalog,
              static_cast<double>(tickPerSec));
     }
 
-    // Packages may be heterogeneous, hence the per-server average
-    // and the fabric-link weighting.
     double util = 0.0;
     double disp = 0.0;
+    double link = 0.0;
     double linkWeighted = 0.0;
     double totalLinks = 0.0;
+    std::size_t firstFabric = 0;
+    bool uniformLinks = true;
     std::uint64_t msgs = 0;
     std::uint64_t servers = 0;
     for (std::uint32_t p = 0; p < rack.numPackages(); ++p) {
         ClusterSim &pkg = rack.package(p);
         for (ServerId s = 0; s < pkg.numServers(); ++s) {
             const Network &net = pkg.machine(s).network();
-            const double fabric =
-                static_cast<double>(net.fabricLinkCount());
+            const std::size_t fabric = net.fabricLinkCount();
             util += pkg.machine(s).avgCoreUtilization();
             disp += pkg.machine(s).dispatcherUtilization();
-            linkWeighted += net.meanLinkUtilization() * fabric;
-            totalLinks += fabric;
+            link += net.meanLinkUtilization();
+            linkWeighted += net.meanLinkUtilization() *
+                            static_cast<double>(fabric);
+            totalLinks += static_cast<double>(fabric);
             m.maxLinkUtilization = std::max(
                 m.maxLinkUtilization, net.maxLinkUtilization());
             msgs += net.messagesDelivered();
+            if (servers == 0)
+                firstFabric = fabric;
+            else if (fabric != firstFabric)
+                uniformLinks = false;
             ++servers;
         }
     }
-    if (servers > 0) {
-        m.avgCoreUtilization =
-            util / static_cast<double>(servers);
-        m.dispatcherUtilization =
-            disp / static_cast<double>(servers);
-    }
-    if (totalLinks > 0.0)
+    const double n = static_cast<double>(servers);
+    m.avgCoreUtilization = util / n;
+    m.dispatcherUtilization = disp / n;
+    if (uniformLinks || totalLinks == 0.0)
+        m.meanLinkUtilization = link / n;
+    else
         m.meanLinkUtilization = linkWeighted / totalLinks;
     m.icnMessages = msgs;
     return m;
@@ -762,6 +763,45 @@ runRack(const ServiceCatalog &catalog, const RackExperimentConfig &cfg,
 }
 
 } // namespace
+
+ObsConfig
+obsFromConfig(const Config &cfg)
+{
+    ObsConfig obs;
+    obs.traceOut = cfg.getString("trace_out", "");
+    obs.statsJson = cfg.getString("stats_json", "");
+    const double us = cfg.getDouble("sample_interval_us", 0.0);
+    if (us < 0.0)
+        fatal("sample_interval_us must be >= 0 (got %g)", us);
+    obs.sampleInterval = fromUs(us);
+    obs.traceCapacity = static_cast<std::size_t>(cfg.getInt(
+        "trace_capacity",
+        static_cast<std::int64_t>(TraceSink::defaultCapacity)));
+    obs.traceFilter = cfg.getString("trace_filter", "");
+    obs.attrib = cfg.getBool("attrib", false);
+    obs.tailProfile = cfg.getString("tail_profile", "");
+    obs.metricsOut = cfg.getString("metrics_out", "");
+    const std::int64_t top_k = cfg.getInt("tail_topk", 32);
+    if (top_k <= 0)
+        fatal("tail_topk must be positive (got %lld)",
+              static_cast<long long>(top_k));
+    obs.tailTopK = static_cast<std::size_t>(top_k);
+    obs.simProfile = cfg.getString("sim_profile", "");
+    // --progress=SEC sets the heartbeat period; the boolean
+    // spellings (--progress=on) pick a 5-second default.
+    const std::string prog = cfg.getString("progress", "");
+    if (prog == "true" || prog == "yes" || prog == "on") {
+        obs.progressSec = 5.0;
+    } else if (!prog.empty() && prog != "false" && prog != "no" &&
+               prog != "off") {
+        obs.progressSec = cfg.getDouble("progress");
+        if (obs.progressSec < 0.0)
+            fatal("progress must be >= 0 seconds (got %g)",
+                  obs.progressSec);
+    }
+    obs.runSummary = cfg.getBool("run_summary", false);
+    return obs;
+}
 
 RunMetrics
 runRackExperiment(const ServiceCatalog &catalog,

@@ -25,6 +25,8 @@
 namespace umany
 {
 
+class Config;
+
 /** Observability options of one run (all off by default). */
 struct ObsConfig
 {
@@ -69,6 +71,17 @@ struct ObsConfig
     /** Print a run-health summary block to stderr after the run. */
     bool runSummary = false;
 };
+
+/**
+ * Parse the observability flags shared by every bench and example:
+ * `trace_out=`, `stats_json=`, `sample_interval_us=`,
+ * `trace_capacity=`, `trace_filter=`, `attrib=`, `tail_profile=`,
+ * `metrics_out=`, `tail_topk=`, `sim_profile=`, `progress=` (seconds,
+ * or on/yes/true for 5 s) and `run_summary=`. Unset keys keep the
+ * ObsConfig defaults; a negative interval or progress period and a
+ * tail_topk below 1 are fatal.
+ */
+ObsConfig obsFromConfig(const Config &cfg);
 
 /** Attribution results of one run (filled when enabled). */
 struct AttribResult

@@ -1,7 +1,5 @@
 #include "driver/metrics.hh"
 
-#include <algorithm>
-
 namespace umany
 {
 
@@ -32,68 +30,6 @@ latencyStatsFrom(const Histogram &h)
     s.p50Ms = toMs(h.p50());
     s.p99Ms = toMs(h.p99());
     return s;
-}
-
-RunMetrics
-collectMetrics(ClusterSim &sim, const ServiceCatalog &catalog,
-               Tick measure_time, double offered_rps)
-{
-    RunMetrics m;
-    for (const ServiceId ep : catalog.endpoints()) {
-        m.perEndpoint[catalog.at(ep).name] =
-            latencyStatsFrom(sim.endpointLatency(ep));
-    }
-    m.overall = latencyStatsFrom(sim.allLatency());
-    m.completed = sim.completedRoots();
-    m.rejected = sim.rejectedRoots();
-    m.qosViolations = sim.qosViolations();
-    m.observed = sim.observedRoots();
-    m.offeredRps = offered_rps;
-    if (measure_time > 0) {
-        m.throughputRps =
-            static_cast<double>(m.completed) /
-            (static_cast<double>(measure_time) /
-             static_cast<double>(tickPerSec));
-    }
-
-    double util = 0.0;
-    double link = 0.0;
-    double linkWeighted = 0.0;
-    double disp = 0.0;
-    std::uint64_t msgs = 0;
-    std::size_t linkCount = 0;
-    double totalLinks = 0.0;
-    bool uniformLinks = true;
-    for (ServerId s = 0; s < sim.numServers(); ++s) {
-        const Network &net = sim.machine(s).network();
-        const std::size_t fabric = net.fabricLinkCount();
-        util += sim.machine(s).avgCoreUtilization();
-        link += net.meanLinkUtilization();
-        linkWeighted += net.meanLinkUtilization() *
-                        static_cast<double>(fabric);
-        totalLinks += static_cast<double>(fabric);
-        disp += sim.machine(s).dispatcherUtilization();
-        m.maxLinkUtilization =
-            std::max(m.maxLinkUtilization, net.maxLinkUtilization());
-        msgs += net.messagesDelivered();
-        if (s == 0)
-            linkCount = fabric;
-        else if (fabric != linkCount)
-            uniformLinks = false;
-    }
-    m.avgCoreUtilization = util / sim.numServers();
-    m.dispatcherUtilization = disp / sim.numServers();
-    // Per-server means must be weighted by each network's fabric-link
-    // count: a uniform average over servers over-weights small
-    // networks once machines are heterogeneous. The uniform case
-    // keeps the legacy summation order so homogeneous goldens stay
-    // byte-identical (mathematically equal, but FP rounding differs).
-    if (uniformLinks || totalLinks == 0.0)
-        m.meanLinkUtilization = link / sim.numServers();
-    else
-        m.meanLinkUtilization = linkWeighted / totalLinks;
-    m.icnMessages = msgs;
-    return m;
 }
 
 } // namespace umany

@@ -11,8 +11,8 @@
 #include <map>
 #include <string>
 
-#include "arch/cluster_sim.hh"
 #include "sim/types.hh"
+#include "stats/histogram.hh"
 
 namespace umany
 {
@@ -51,15 +51,6 @@ struct RunMetrics
 
 /** Extract latency stats from a histogram of tick samples. */
 LatencyStats latencyStatsFrom(const Histogram &h);
-
-/**
- * Collect metrics from a finished simulation.
- * @param measure_time Length of the measurement window (for
- *        throughput).
- */
-RunMetrics collectMetrics(ClusterSim &sim,
-                          const ServiceCatalog &catalog,
-                          Tick measure_time, double offered_rps);
 
 } // namespace umany
 

@@ -2,39 +2,19 @@
 
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace umany
 {
 
-namespace
-{
-
-/** Threshold derivation shared by the single- and per-policy
- *  searches: qosMultiplier x the contention-free averages. */
-std::map<ServiceId, Tick>
-deriveThresholds(const ServiceCatalog &catalog,
-                 const ExperimentConfig &base,
-                 const QosSearchConfig &qcfg)
-{
-    std::map<ServiceId, Tick> thresholds;
-    const auto base_avgs = contentionFreeAverages(catalog, base);
-    for (const auto &[ep, avg] : base_avgs) {
-        thresholds[ep] = static_cast<Tick>(
-            qcfg.qosMultiplier * static_cast<double>(avg));
-    }
-    return thresholds;
-}
-
-/** Binary search over offered load with fixed thresholds. */
 QosResult
-searchWithThresholds(const ServiceCatalog &catalog,
+findMaxQosThroughput(const ServiceCatalog &catalog,
                      const ExperimentConfig &base,
-                     const QosSearchConfig &qcfg,
-                     std::map<ServiceId, Tick> thresholds)
+                     const QosSearchConfig &qcfg)
 {
     QosResult result;
-    result.thresholds = std::move(thresholds);
+    for (const auto &[ep, avg] : contentionFreeAverages(catalog, base)) {
+        result.thresholds[ep] = static_cast<Tick>(
+            qcfg.qosMultiplier * static_cast<double>(avg));
+    }
 
     auto violationRate = [&](double rps) {
         ExperimentConfig cfg = base;
@@ -71,39 +51,6 @@ searchWithThresholds(const ServiceCatalog &catalog,
     result.maxRpsPerServer = best;
     result.violationRateAtMax = best_rate;
     return result;
-}
-
-} // namespace
-
-QosResult
-findMaxQosThroughput(const ServiceCatalog &catalog,
-                     const ExperimentConfig &base,
-                     const QosSearchConfig &qcfg)
-{
-    return searchWithThresholds(
-        catalog, base, qcfg, deriveThresholds(catalog, base, qcfg));
-}
-
-std::map<DispatchKind, QosResult>
-findMaxQosThroughputPerPolicy(const ServiceCatalog &catalog,
-                              const ExperimentConfig &base,
-                              const std::vector<DispatchKind> &policies,
-                              const QosSearchConfig &qcfg)
-{
-    // One threshold derivation, from the round-robin base: every
-    // policy is held to the same latency bar.
-    ExperimentConfig rr_base = base;
-    rr_base.machine.dispatch.kind = DispatchKind::RoundRobin;
-    const auto thresholds = deriveThresholds(catalog, rr_base, qcfg);
-
-    std::map<DispatchKind, QosResult> results;
-    for (const DispatchKind kind : policies) {
-        ExperimentConfig cfg = base;
-        cfg.machine.dispatch.kind = kind;
-        results[kind] =
-            searchWithThresholds(catalog, cfg, qcfg, thresholds);
-    }
-    return results;
 }
 
 } // namespace umany

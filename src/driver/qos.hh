@@ -40,24 +40,6 @@ QosResult findMaxQosThroughput(const ServiceCatalog &catalog,
                                const ExperimentConfig &base,
                                const QosSearchConfig &qcfg = {});
 
-/**
- * Tenant-aware QoS composed with dispatch policies: run the QoS
- * throughput search once per requested policy, holding the
- * per-endpoint thresholds fixed at the values derived from the
- * round-robin contention-free base. Fixing the thresholds makes the
- * sustained-throughput numbers comparable across policies — each
- * policy is judged against the same latency bar, so the map answers
- * "how much more load does po2c/stealing sustain at identical QoS".
- *
- * @param policies Dispatch kinds to race; base.machine.dispatch
- *        supplies the probe/steal cost knobs for all of them.
- */
-std::map<DispatchKind, QosResult>
-findMaxQosThroughputPerPolicy(const ServiceCatalog &catalog,
-                              const ExperimentConfig &base,
-                              const std::vector<DispatchKind> &policies,
-                              const QosSearchConfig &qcfg = {});
-
 } // namespace umany
 
 #endif // UMANY_DRIVER_QOS_HH

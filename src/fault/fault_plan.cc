@@ -1,8 +1,6 @@
 #include "fault/fault_plan.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
 #include "fault/fault_state.hh"
 #include "sim/logging.hh"
@@ -11,48 +9,8 @@
 namespace umany
 {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::LinkDown:
-        return "link_down";
-      case FaultKind::LinkUp:
-        return "link_up";
-      case FaultKind::NodeDown:
-        return "node_down";
-      case FaultKind::VillageDown:
-        return "village_down";
-      case FaultKind::VillageUp:
-        return "village_up";
-      case FaultKind::Corruption:
-        return "corrupt";
-      case FaultKind::PackageDown:
-        return "package_down";
-      case FaultKind::PackageUp:
-        return "package_up";
-    }
-    return "?";
-}
-
 namespace
 {
-
-bool
-kindFromName(const std::string &name, FaultKind &out)
-{
-    for (const FaultKind k :
-         {FaultKind::LinkDown, FaultKind::LinkUp, FaultKind::NodeDown,
-          FaultKind::VillageDown, FaultKind::VillageUp,
-          FaultKind::Corruption, FaultKind::PackageDown,
-          FaultKind::PackageUp}) {
-        if (name == faultKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
 
 /** Pick @p count distinct elements of @p pool (order randomized). */
 template <typename T>
@@ -77,52 +35,6 @@ pickDistinct(std::vector<T> pool, std::uint32_t count, Rng &rng)
 }
 
 } // namespace
-
-FaultPlan
-FaultPlan::parse(const std::string &text)
-{
-    FaultPlan plan;
-    std::istringstream lines(text);
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(lines, line)) {
-        ++lineno;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream fields(line);
-        double time_us = 0.0;
-        std::string kind_name;
-        if (!(fields >> time_us))
-            continue; // Blank / comment-only line.
-        if (!(fields >> kind_name))
-            fatal("fault plan line %zu: missing kind", lineno);
-        FaultEvent e;
-        e.at = fromUs(time_us);
-        if (!kindFromName(kind_name, e.kind)) {
-            fatal("fault plan line %zu: unknown kind '%s'", lineno,
-                  kind_name.c_str());
-        }
-        if (e.kind != FaultKind::Corruption &&
-            !(fields >> e.target)) {
-            fatal("fault plan line %zu: missing target", lineno);
-        }
-        std::string opt;
-        while (fields >> opt) {
-            if (opt.rfind("server=", 0) == 0) {
-                e.server = static_cast<ServerId>(
-                    std::strtoul(opt.c_str() + 7, nullptr, 10));
-            } else if (opt.rfind("p=", 0) == 0) {
-                e.prob = std::strtod(opt.c_str() + 2, nullptr);
-            } else {
-                fatal("fault plan line %zu: bad option '%s'", lineno,
-                      opt.c_str());
-            }
-        }
-        plan.add(e);
-    }
-    return plan;
-}
 
 FaultPlan
 randomLinkFailures(const Topology &topo, std::uint32_t count,

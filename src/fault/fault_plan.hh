@@ -4,9 +4,9 @@
  * cluster at fixed ticks — link down/up, NH (switch) down, village
  * down/up, and message-corruption probability changes.
  *
- * Plans are data, not behavior: they can be built programmatically,
- * generated from a seeded RNG stream (the builders below), or parsed
- * from a small text format. The FaultInjector (fault/injector.hh)
+ * Plans are data, not behavior: they can be built programmatically
+ * or generated from a seeded RNG stream (the builders below). The
+ * FaultInjector (fault/injector.hh)
  * turns a plan into scheduled events against a ClusterSim.
  */
 
@@ -37,9 +37,6 @@ enum class FaultKind : std::uint8_t
     PackageUp,   //!< target = rack package id (rack plans only)
 };
 
-/** Printable name of @p kind (the parse() keyword). */
-const char *faultKindName(FaultKind kind);
-
 /** One scheduled fault. */
 struct FaultEvent
 {
@@ -66,19 +63,6 @@ struct FaultPlan
         events.push_back(e);
         return *this;
     }
-
-    /**
-     * Parse a plan from text, one event per line:
-     *
-     *   <time_us> <kind> <target> [server=<N>] [p=<prob>]
-     *
-     * where <kind> is one of link_down, link_up, node_down,
-     * village_down, village_up, corrupt, package_down, package_up
-     * (the package kinds apply to rack plans only).
-     * '#' starts a comment.
-     * Malformed input is fatal (plans are trusted config).
-     */
-    static FaultPlan parse(const std::string &text);
 };
 
 /**

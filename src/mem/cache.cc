@@ -109,13 +109,6 @@ Cache::contains(std::uint64_t addr) const
     return false;
 }
 
-void
-Cache::flush()
-{
-    for (auto &line : lines_)
-        line.valid = false;
-}
-
 double
 Cache::hitRate() const
 {
@@ -123,13 +116,6 @@ Cache::hitRate() const
         return 0.0;
     return 1.0 - static_cast<double>(misses_) /
                      static_cast<double>(accesses_);
-}
-
-void
-Cache::clearStats()
-{
-    accesses_ = 0;
-    misses_ = 0;
 }
 
 } // namespace umany

@@ -29,7 +29,6 @@ struct CacheParams
     std::uint32_t ways = 8;
     std::uint32_t lineBytes = 64;
     Cycles roundTripCycles = 2; //!< Hit latency, Table 2.
-    std::uint32_t mshrs = 20;   //!< Outstanding-miss capacity.
 };
 
 /** A functional set-associative cache. */
@@ -58,18 +57,12 @@ class Cache
      */
     void fill(std::uint64_t addr);
 
-    /** Invalidate everything (e.g. on context migration). */
-    void flush();
-
     const CacheParams &params() const { return p_; }
     std::uint32_t numSets() const { return sets_; }
 
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     double hitRate() const;
-
-    /** Clear statistics but not contents. */
-    void clearStats();
 
   private:
     CacheParams p_;

@@ -3,12 +3,6 @@
 namespace umany
 {
 
-Cycles
-CoherenceModel::directoryOverhead() const
-{
-    return p_.scope == CoherenceScope::Global ? p_.directoryCycles : 0;
-}
-
 std::uint64_t
 CoherenceModel::migrationBytes(bool same_l2) const
 {
@@ -20,15 +14,6 @@ CoherenceModel::migrationBytes(bool same_l2) const
     return static_cast<std::uint64_t>(
         p_.migrationRefetchFraction *
         static_cast<double>(p_.warmSetBytes));
-}
-
-bool
-CoherenceModel::migrationAllowed(VillageId src, VillageId dst) const
-{
-    if (p_.scope == CoherenceScope::Global)
-        return true;
-    // Village scope: a request may only resume inside its village.
-    return src == dst;
 }
 
 } // namespace umany

@@ -4,12 +4,10 @@
  *
  * μManycore supports hardware coherence only inside a village;
  * ScaleOut/ServerClass are globally coherent. The model quantifies
- * the two effects the paper attributes to coherence scope:
- *   1. a per-L2-miss directory/indirection overhead under global
- *      coherence, and
- *   2. the cache warm-up cost when a blocked request resumes on a
- *      different core (cheap within a shared-L2 village; a remote
- *      fetch over the ICN under global coherence).
+ * the cache warm-up cost when a blocked request resumes on a
+ * different core: cheap within a shared-L2 village, a remote fetch
+ * over the ICN under global coherence. The machine charges the
+ * directory's per-miss stalls through its own MachineParams.
  */
 
 #ifndef UMANY_MEM_COHERENCE_HH
@@ -33,7 +31,6 @@ enum class CoherenceScope : std::uint8_t
 struct CoherenceParams
 {
     CoherenceScope scope = CoherenceScope::Village;
-    Cycles directoryCycles = 20;  //!< Directory lookup per L2 miss.
     /**
      * Fraction of a request's warm working set that must be
      * re-fetched when it resumes on a core outside its previous
@@ -53,9 +50,6 @@ class CoherenceModel
     const CoherenceParams &params() const { return p_; }
     CoherenceScope scope() const { return p_.scope; }
 
-    /** Extra cycles a directory adds to every L2 miss. */
-    Cycles directoryOverhead() const;
-
     /**
      * Bytes that must move over the interconnect when a request
      * resumes on a different core.
@@ -64,12 +58,6 @@ class CoherenceModel
      *        cluster slice) with the old one.
      */
     std::uint64_t migrationBytes(bool same_l2) const;
-
-    /**
-     * True when a request may legally resume on @p dst village given
-     * it previously ran in @p src village.
-     */
-    bool migrationAllowed(VillageId src, VillageId dst) const;
 
   private:
     CoherenceParams p_;

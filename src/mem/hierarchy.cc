@@ -4,29 +4,13 @@ namespace umany
 {
 
 HierarchyParams
-manycoreHierarchyParams()
-{
-    HierarchyParams p;
-    p.l1i = CacheParams{"l1i", 64 * 1024, 8, 64, 2, 20};
-    p.l1d = CacheParams{"l1d", 64 * 1024, 8, 64, 2, 20};
-    p.l2 = CacheParams{"l2", 256 * 1024, 16, 64, 24, 20};
-    p.l3.reset();
-    p.l1itlb = TlbParams{"itlb", 128, 4, 4096, 2};
-    p.l1dtlb = TlbParams{"dtlb", 128, 4, 4096, 2};
-    p.l2tlb.reset();
-    p.memLatency = 200;
-    p.pageWalkLatency = 60;
-    return p;
-}
-
-HierarchyParams
 serverClassHierarchyParams()
 {
     HierarchyParams p;
-    p.l1i = CacheParams{"l1i", 64 * 1024, 8, 64, 2, 20};
-    p.l1d = CacheParams{"l1d", 64 * 1024, 8, 64, 2, 20};
-    p.l2 = CacheParams{"l2", 2 * 1024 * 1024, 16, 64, 16, 20};
-    p.l3 = CacheParams{"l3", 2 * 1024 * 1024, 16, 64, 40, 20};
+    p.l1i = CacheParams{"l1i", 64 * 1024, 8, 64, 2};
+    p.l1d = CacheParams{"l1d", 64 * 1024, 8, 64, 2};
+    p.l2 = CacheParams{"l2", 2 * 1024 * 1024, 16, 64, 16};
+    p.l3 = CacheParams{"l3", 2 * 1024 * 1024, 16, 64, 40};
     p.l1itlb = TlbParams{"itlb", 256, 4, 4096, 2};
     p.l1dtlb = TlbParams{"dtlb", 256, 4, 4096, 2};
     p.l2tlb = TlbParams{"l2tlb", 2048, 12, 4096, 12};
@@ -73,44 +57,6 @@ CacheHierarchy::access(std::uint64_t addr, bool instr)
     if (l3_ && l3_->access(addr))
         return latency + l3_->params().roundTripCycles;
     return latency + p_.memLatency;
-}
-
-void
-CacheHierarchy::flush()
-{
-    l1i_.flush();
-    l1d_.flush();
-    l2_.flush();
-    if (l3_)
-        l3_->flush();
-    l1itlb_.flush();
-    l1dtlb_.flush();
-    if (l2tlb_)
-        l2tlb_->flush();
-}
-
-double
-CacheHierarchy::l1MissRate(bool instr) const
-{
-    const Cache &l1 = instr ? l1i_ : l1d_;
-    if (l1.accesses() == 0)
-        return 0.0;
-    return static_cast<double>(l1.misses()) /
-           static_cast<double>(l1.accesses());
-}
-
-void
-CacheHierarchy::clearStats()
-{
-    l1i_.clearStats();
-    l1d_.clearStats();
-    l2_.clearStats();
-    if (l3_)
-        l3_->clearStats();
-    l1itlb_.clearStats();
-    l1dtlb_.clearStats();
-    if (l2tlb_)
-        l2tlb_->clearStats();
 }
 
 } // namespace umany

@@ -30,9 +30,6 @@ struct HierarchyParams
     Cycles pageWalkLatency = 60; //!< Full TLB-miss walk.
 };
 
-/** Table-2 manycore hierarchy (μManycore and ScaleOut cores). */
-HierarchyParams manycoreHierarchyParams();
-
 /** Table-2 ServerClass hierarchy. */
 HierarchyParams serverClassHierarchyParams();
 
@@ -49,9 +46,6 @@ class CacheHierarchy
     /** Access @p addr; @p instr selects the instruction path. */
     Cycles access(std::uint64_t addr, bool instr);
 
-    /** Flush all structures (full context loss). */
-    void flush();
-
     /** @name Per-structure accessors for Fig 9. @{ */
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
@@ -61,14 +55,6 @@ class CacheHierarchy
     const Tlb &l1dtlb() const { return l1dtlb_; }
     const Tlb *l2tlb() const { return l2tlb_ ? &*l2tlb_ : nullptr; }
     /** @} */
-
-    /**
-     * Fraction of L2 accesses among instruction (or data) accesses,
-     * i.e. the L1 miss rate on that path.
-     */
-    double l1MissRate(bool instr) const;
-
-    void clearStats();
 
   private:
     HierarchyParams p_;

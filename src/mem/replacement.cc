@@ -36,20 +36,6 @@ LruPolicy::victim(std::uint32_t set)
     return best;
 }
 
-RandomPolicy::RandomPolicy(std::uint64_t seed) : rng_(seed) {}
-
-void
-RandomPolicy::reset(std::uint32_t, std::uint32_t ways)
-{
-    ways_ = ways;
-}
-
-std::uint32_t
-RandomPolicy::victim(std::uint32_t)
-{
-    return static_cast<std::uint32_t>(rng_.below(ways_));
-}
-
 ProfileGuidedPolicy::ProfileGuidedPolicy(
     std::unordered_set<std::uint64_t> hot_tags)
     : hotTags_(std::move(hot_tags))

@@ -63,28 +63,6 @@ class LruPolicy : public ReplacementPolicy
     std::vector<std::uint64_t> lastUse_;
 };
 
-/** Uniform random victim selection. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    explicit RandomPolicy(std::uint64_t seed = 1);
-    void reset(std::uint32_t sets, std::uint32_t ways) override;
-    void touch(std::uint32_t, std::uint32_t, std::uint64_t,
-               std::uint64_t) override
-    {
-    }
-    void insert(std::uint32_t, std::uint32_t, std::uint64_t,
-                std::uint64_t) override
-    {
-    }
-    std::uint32_t victim(std::uint32_t set) override;
-    const char *name() const override { return "random"; }
-
-  private:
-    Rng rng_;
-    std::uint32_t ways_ = 0;
-};
-
 /**
  * Ripple-lite: profile-guided replacement. Lines whose tags appear
  * in the hot-set provided by an offline profile are evicted only if

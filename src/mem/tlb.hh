@@ -36,14 +36,10 @@ class Tlb
     /** Translate the page containing @p addr; true on TLB hit. */
     bool access(std::uint64_t addr);
 
-    /** Invalidate all translations. */
-    void flush() { cache_.flush(); }
-
     const TlbParams &params() const { return p_; }
     std::uint64_t accesses() const { return cache_.accesses(); }
     std::uint64_t misses() const { return cache_.misses(); }
     double hitRate() const { return cache_.hitRate(); }
-    void clearStats() { cache_.clearStats(); }
 
   private:
     TlbParams p_;

@@ -301,8 +301,8 @@ Network::clearStats()
     reroutes_ = 0;
     corruptRetx_ = 0;
     degraded_ = 0;
-    latency_.clear();
-    queueDelay_.clear();
+    latency_ = Histogram();
+    queueDelay_ = Histogram();
     // Utilization denominators run from here, and flights sent
     // before the clear no longer count as deliveries in this window.
     statsEpochTick_ = curTick();

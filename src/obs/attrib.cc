@@ -10,8 +10,6 @@
 namespace umany
 {
 
-thread_local AttribRegistry *AttribRegistry::active_ = nullptr;
-
 const char *
 attribCompName(AttribComp c)
 {

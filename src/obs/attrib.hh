@@ -150,7 +150,7 @@ class AttribRegistry
      * Account the inter-package hops of a rack-routed root: extends
      * the ledger back to the load balancer's arrival tick
      * @p client_start and charges @p hop_ticks (ingress + egress
-     * RackNet time) to PkgHop, so the ledger still sums to the
+     * rack-fabric time) to PkgHop, so the ledger still sums to the
      * client-observed latency at rack scale.
      */
     void noteInterPackageHop(ServiceRequest &req, Tick client_start,
@@ -192,7 +192,7 @@ class AttribRegistry
   private:
     void releaseTree(RequestId root);
 
-    static thread_local AttribRegistry *active_;
+    static inline thread_local AttribRegistry *active_ = nullptr;
 
     std::unordered_map<RequestId, AttribRecord> records_;
     std::array<Histogram, kNumAttribComps> perReqTicks_;

@@ -1,7 +1,5 @@
 #include "obs/span_tree.hh"
 
-#include <algorithm>
-
 namespace umany
 {
 
@@ -41,21 +39,6 @@ gatingChild(const AttribRecord &node, const RecordLookup &lookup)
 }
 
 } // namespace
-
-std::vector<AttribComp>
-CriticalPath::ranked() const
-{
-    std::vector<AttribComp> order;
-    order.reserve(kNumAttribComps);
-    for (std::size_t i = 0; i < kNumAttribComps; ++i)
-        order.push_back(static_cast<AttribComp>(i));
-    std::stable_sort(order.begin(), order.end(),
-                     [this](AttribComp a, AttribComp b) {
-        return comp[static_cast<std::size_t>(a)] >
-               comp[static_cast<std::size_t>(b)];
-    });
-    return order;
-}
 
 CriticalPath
 extractCriticalPath(const AttribRecord &root,

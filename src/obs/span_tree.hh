@@ -48,9 +48,6 @@ struct CriticalPath
     std::vector<CriticalStep> steps;
     std::array<Tick, kNumAttribComps> comp{};
     Tick totalTicks = 0;
-
-    /** Components ranked by charged ticks, descending. */
-    std::vector<AttribComp> ranked() const;
 };
 
 /**

@@ -6,19 +6,9 @@
 namespace umany
 {
 
-thread_local TraceSink *TraceSink::active_ = nullptr;
-
 TraceSink::TraceSink(std::size_t capacity) : cap_(capacity)
 {
     buf_.reserve(cap_);
-}
-
-void
-TraceSink::clear()
-{
-    buf_.clear();
-    dropped_ = 0;
-    droppedByCat_.fill(0);
 }
 
 const char *

@@ -336,9 +336,6 @@ class TraceSink
     std::uint64_t recorded() const { return buf_.size(); }
     /** @} */
 
-    /** Drop all events and reset the drop counter. */
-    void clear();
-
     /** @name Track filter (default: record everything) @{ */
     void setFilter(std::uint32_t mask) { filter_ = mask; }
     std::uint32_t filter() const { return filter_; }
@@ -383,7 +380,7 @@ class TraceSink
     std::uint32_t pidStride_ = 0;
     std::uint32_t pidPackages_ = 0;
 
-    static thread_local TraceSink *active_;
+    static inline thread_local TraceSink *active_ = nullptr;
 };
 
 /**

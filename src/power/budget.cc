@@ -19,8 +19,10 @@ constexpr double poolMb = 8.0;
  *  and power. */
 constexpr double uncoreFraction = 0.04;
 
+} // namespace
+
 PackageBudget
-manycoreStyleBudget(int node_nm, bool with_pools)
+uManycoreBudget(int node_nm)
 {
     const CoreEstimate core = coreWithCachesManycore(node_nm);
 
@@ -31,35 +33,17 @@ manycoreStyleBudget(int node_nm, bool with_pools)
     b.totalW = core.powerW * manycoreCores;
     b.totalAreaMm2 = core.areaMm2 * manycoreCores;
 
-    if (with_pools) {
-        SramParams sp;
-        sp.bytes = static_cast<std::uint64_t>(poolMb * 1024 * 1024);
-        sp.assoc = 1;
-        sp.nodeNm = node_nm;
-        const SramEstimate pool = cactiLite(sp);
-        b.totalAreaMm2 += pool.areaMm2 * numPools;
-        b.totalW += pool.leakageW * numPools;
-    }
+    SramParams sp;
+    sp.bytes = static_cast<std::uint64_t>(poolMb * 1024 * 1024);
+    sp.assoc = 1;
+    sp.nodeNm = node_nm;
+    const SramEstimate pool = cactiLite(sp);
+    b.totalAreaMm2 += pool.areaMm2 * numPools;
+    b.totalW += pool.leakageW * numPools;
 
     b.totalW *= 1.0 + uncoreFraction;
     b.totalAreaMm2 *= 1.0 + uncoreFraction;
     return b;
-}
-
-} // namespace
-
-PackageBudget
-uManycoreBudget(int node_nm)
-{
-    return manycoreStyleBudget(node_nm, true);
-}
-
-PackageBudget
-scaleOutBudget(int node_nm)
-{
-    // ScaleOut keeps the pools but adds a global directory; the two
-    // roughly cancel (the paper reports μManycore at +2.9% area).
-    return manycoreStyleBudget(node_nm, true);
 }
 
 PackageBudget

@@ -27,9 +27,6 @@ struct PackageBudget
 /** μManycore package: 1024 cores + 32 pools + hubs/NICs. */
 PackageBudget uManycoreBudget(int node_nm = 10);
 
-/** ScaleOut package: same cores, no pools replaced (kept equal). */
-PackageBudget scaleOutBudget(int node_nm = 10);
-
 /** ServerClass package with the given core count. */
 PackageBudget serverClassBudget(std::uint32_t cores,
                                 int node_nm = 10);

@@ -1,7 +1,5 @@
 #include "rack/rack_net.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace umany
@@ -30,12 +28,11 @@ rackNetKindName(RackNetKind kind)
     return "?";
 }
 
-RackNetParams
-RackNetParams::forKind(RackNetKind kind, std::uint32_t packages)
+InterServerParams
+rackNetParams(RackNetKind kind, std::uint32_t packages)
 {
-    RackNetParams p;
-    p.numPackages = packages;
-    p.kind = kind;
+    InterServerParams p;
+    p.numServers = packages + 1;
     switch (kind) {
       case RackNetKind::Rdma:
         // RDMA-class rack fabric: ~1.5 us wire+switch one way plus
@@ -56,48 +53,6 @@ RackNetParams::forKind(RackNetKind kind, std::uint32_t packages)
         break;
     }
     return p;
-}
-
-RackNet::RackNet(const RackNetParams &p) : p_(p)
-{
-    if (p_.numPackages == 0)
-        fatal("rack net needs at least one package");
-    // One extra node for the load balancer.
-    egressFree_.assign(p_.numPackages + 1, 0);
-    ingressFree_.assign(p_.numPackages + 1, 0);
-}
-
-Tick
-RackNet::send(std::uint32_t src, std::uint32_t dst,
-              std::uint32_t nbytes, Tick now, Tick *queue_out)
-{
-    if (src >= egressFree_.size() || dst >= ingressFree_.size())
-        panic("rack send %u -> %u out of range", src, dst);
-    ++messages_;
-    bytes_ += nbytes;
-
-    const Tick ser = fromNs(static_cast<double>(nbytes) / p_.linkGBs);
-    // Send-side overhead, then egress occupancy at the source.
-    const Tick tx_start =
-        std::max(now + p_.perEndOverhead, egressFree_[src]);
-    egressFree_[src] = tx_start + ser;
-    // Propagation.
-    const Tick arrive = tx_start + ser + p_.oneWayLatency;
-    // Ingress occupancy, then receive-side overhead.
-    const Tick rx_done = std::max(arrive, ingressFree_[dst]) + ser;
-    ingressFree_[dst] = rx_done;
-    // The message occupies one egress and one ingress port for a
-    // serialization time each (utilization accounting).
-    busyTicks_ += 2 * ser;
-    const Tick done = rx_done + p_.perEndOverhead;
-    if (queue_out != nullptr) {
-        // Unloaded delivery: both overheads, both serializations,
-        // and propagation — everything above that is queueing.
-        const Tick unloaded =
-            2 * p_.perEndOverhead + 2 * ser + p_.oneWayLatency;
-        *queue_out = done - now - unloaded;
-    }
-    return done;
 }
 
 } // namespace umany

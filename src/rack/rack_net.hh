@@ -11,9 +11,10 @@
  *    network feeds registers directly, collapsing the per-end
  *    overhead to tens of nanoseconds and shaving the wire path.
  *
- * The model mirrors rpc/inter_server.hh: per-node ingress/egress
- * bandwidth occupancy plus a fixed one-way latency, so a hot
- * package's response link saturates before the fabric core does.
+ * Both run on the point-to-point fabric of rpc/inter_server.hh:
+ * per-node ingress/egress bandwidth occupancy plus a fixed one-way
+ * latency, so a hot package's response link saturates before the
+ * fabric core does.
  */
 
 #ifndef UMANY_RACK_RACK_NET_HH
@@ -21,9 +22,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "sim/types.hh"
+#include "rpc/inter_server.hh"
 
 namespace umany
 {
@@ -41,70 +41,13 @@ RackNetKind parseRackNetKind(const std::string &name);
 /** Flag spelling of a rack-network kind. */
 const char *rackNetKindName(RackNetKind kind);
 
-/** Inter-package fabric parameters. */
-struct RackNetParams
-{
-    std::uint32_t numPackages = 2;
-    RackNetKind kind = RackNetKind::Rdma;
-    /** Wire + switch one-way propagation across the rack. */
-    Tick oneWayLatency = 1500 * tickPerNs;
-    /** Host/NIC processing charged once per message per end. */
-    Tick perEndOverhead = 500 * tickPerNs;
-    /** Per-node link bandwidth, GB/s. */
-    double linkGBs = 100.0;
-
-    /** The calibrated parameter set for @p kind (see EXPERIMENTS.md
-     *  "Rack scale" for the derivation). */
-    static RackNetParams forKind(RackNetKind kind,
-                                 std::uint32_t packages);
-};
-
 /**
- * Bandwidth-occupied point-to-point rack fabric. Nodes
- * 0..numPackages-1 are the packages; node numPackages (lbNode())
- * is the front-end load balancer.
+ * The calibrated fabric for @p kind (see EXPERIMENTS.md "Rack
+ * scale" for the derivation). Nodes 0..packages-1 are the packages;
+ * node @p packages is the front-end load balancer.
  */
-class RackNet
-{
-  public:
-    explicit RackNet(const RackNetParams &p);
-
-    const RackNetParams &params() const { return p_; }
-
-    /** Node id of the front-end load balancer. */
-    std::uint32_t lbNode() const { return p_.numPackages; }
-
-    /**
-     * Deliver @p bytes from @p src to @p dst starting at @p now.
-     * When @p queue_out is non-null it receives the queueing share
-     * of the delivery: total time minus what the same message would
-     * take on idle links (the LB-queueing vs fabric-transit split
-     * the tail profiler reports).
-     * @return Delivery tick at the destination (after the receive
-     *         end's overhead).
-     */
-    Tick send(std::uint32_t src, std::uint32_t dst,
-              std::uint32_t bytes, Tick now,
-              Tick *queue_out = nullptr);
-
-    std::uint64_t messages() const { return messages_; }
-    std::uint64_t bytes() const { return bytes_; }
-    /** Link-busy ticks summed over every egress+ingress port. */
-    std::uint64_t busyTicks() const { return busyTicks_; }
-    /** Occupiable ports (one egress + one ingress per node). */
-    std::uint32_t linkCount() const
-    {
-        return 2 * (p_.numPackages + 1);
-    }
-
-  private:
-    RackNetParams p_;
-    std::vector<Tick> egressFree_;
-    std::vector<Tick> ingressFree_;
-    std::uint64_t messages_ = 0;
-    std::uint64_t bytes_ = 0;
-    std::uint64_t busyTicks_ = 0;
-};
+InterServerParams rackNetParams(RackNetKind kind,
+                                std::uint32_t packages);
 
 } // namespace umany
 

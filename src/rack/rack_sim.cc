@@ -20,7 +20,8 @@ constexpr std::uint32_t kRootRespBytes = 2048;
 RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                  const std::vector<MachineParams> &machines,
                  const RackSimParams &p)
-    : eq_(eq), catalog_(catalog), p_(p)
+    : eq_(eq), catalog_(catalog), p_(p),
+      net_(rackNetParams(p.net, p.packages))
 {
     if (p_.packages == 0)
         fatal("a rack needs at least one package");
@@ -80,8 +81,6 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                 };
         }
     }
-    net_ = std::make_unique<RackNet>(
-        RackNetParams::forKind(p_.net, p_.packages));
     placement_ = std::make_unique<RackPlacement>(
         catalog_, p_.packages, p_.replicas);
     alive_.assign(p_.packages, true);
@@ -194,8 +193,8 @@ RackSim::submitRoot(ServiceId endpoint)
     ++inflight_[pkg];
     const Tick now = eq_.now();
     Tick req_queue = 0;
-    const Tick arrive = net_->send(net_->lbNode(), pkg,
-                                   kRootReqBytes, now, &req_queue);
+    const Tick arrive =
+        net_.send(p_.packages, pkg, kRootReqBytes, now, &req_queue);
     const std::uint64_t ctx = nextCtx_++;
     ctxs_.emplace(ctx,
                   PendingRoot{now, arrive, req_queue, pkg, endpoint});
@@ -255,8 +254,8 @@ RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
     // The response crosses back to the LB (rejections answer too),
     // occupying the package's egress link.
     Tick resp_queue = 0;
-    const Tick back = net_->send(pkg, net_->lbNode(), kRootRespBytes,
-                                 now, &resp_queue);
+    const Tick back =
+        net_.send(pkg, p_.packages, kRootRespBytes, now, &resp_queue);
     const Tick ingress = pending.submitAt - pending.lbArrival;
     const Tick egress = back - now;
     info.hopTicks = ingress + egress;

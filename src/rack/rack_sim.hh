@@ -2,14 +2,14 @@
  * @file
  * RackSim: N independent μManycore packages (each a ClusterSim)
  * behind a front-end load balancer, connected by an inter-package
- * RackNet (ROADMAP "Multi-package / rack-scale scenarios").
+ * rack fabric (rack/rack_net.hh).
  *
  * The load balancer owns replica selection: each endpoint is placed
  * on R packages (rack/placement.hh) and the LB picks one per root
  * using the dispatch-policy zoo (sched/dispatch_policy.hh) over a
  * package-level occupancy signal — rr walks the replicas, po2c and
  * jsqd probe the LB's own in-flight count per package. Chosen roots
- * cross the RackNet to their package, run there exactly as a
+ * cross the rack fabric to their package, run there exactly as a
  * single-package root would (including client-side recovery at the
  * package boundary), and their responses cross back; the package
  * records the client-observed latency (package latency + both
@@ -150,7 +150,7 @@ class RackSim
     /** Trace pid of the rack substrate (LB + fabric tracks). */
     std::uint32_t rackTracePid() const { return rackPid_; }
     ClusterSim &package(std::uint32_t p) { return *pkgs_[p]; }
-    const RackNet &net() const { return *net_; }
+    const InterServerNet &net() const { return net_; }
     const RackPlacement &placement() const { return *placement_; }
     const RackSimParams &params() const { return p_; }
     const ServiceCatalog &catalog() const { return catalog_; }
@@ -170,7 +170,8 @@ class RackSim
     const ServiceCatalog &catalog_;
     RackSimParams p_;
     std::vector<std::unique_ptr<ClusterSim>> pkgs_;
-    std::unique_ptr<RackNet> net_;
+    /** Packages are fabric nodes 0..N-1; the LB is node N. */
+    InterServerNet net_;
     std::unique_ptr<RackPlacement> placement_;
     std::unique_ptr<NicDispatchPolicy> policy_; //!< po2c/jsqd only.
     std::vector<bool> alive_;

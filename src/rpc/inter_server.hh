@@ -1,8 +1,11 @@
 /**
  * @file
- * Inter-server network (Table 2: 1 μs round trip, 200 GB/s): a
- * full-bisection fabric between the cluster's servers with
- * per-server ingress/egress bandwidth occupancy.
+ * Point-to-point fabric with per-node ingress/egress bandwidth
+ * occupancy and a fixed one-way latency. It models the inter-server
+ * network (Table 2: 1 μs round trip, 200 GB/s) between a cluster's
+ * servers, and the rack fabric between packages and the front-end
+ * load balancer (rack/rack_net.hh), which adds a per-end host/NIC
+ * overhead.
  */
 
 #ifndef UMANY_RPC_INTER_SERVER_HH
@@ -16,12 +19,14 @@
 namespace umany
 {
 
-/** Inter-server fabric parameters. */
+/** Fabric parameters (defaults: the inter-server network). */
 struct InterServerParams
 {
     std::uint32_t numServers = 10;
     Tick oneWayLatency = 500 * tickPerNs; //!< 1 μs round trip.
     double linkGBs = 200.0;               //!< Per-server NIC bandwidth.
+    /** Host/NIC processing charged once per message at each end. */
+    Tick perEndOverhead = 0;
 };
 
 /** Bandwidth-occupied point-to-point fabric. */
@@ -34,13 +39,21 @@ class InterServerNet
 
     /**
      * Deliver @p bytes from @p src to @p dst starting at @p now.
-     * @return Delivery tick at the destination server's NIC.
+     * When @p queue_out is non-null it receives the queueing share
+     * of the delivery: total time minus what the same message would
+     * take on idle links.
+     * @return Delivery tick at the destination (after the receive
+     *         end's overhead).
      */
     Tick send(ServerId src, ServerId dst, std::uint32_t bytes,
-              Tick now);
+              Tick now, Tick *queue_out = nullptr);
 
     std::uint64_t messages() const { return messages_; }
     std::uint64_t bytes() const { return bytes_; }
+    /** Link-busy ticks summed over every egress and ingress port. */
+    std::uint64_t busyTicks() const { return busyTicks_; }
+    /** Occupiable ports (one egress and one ingress per node). */
+    std::uint32_t linkCount() const { return 2 * p_.numServers; }
 
   private:
     InterServerParams p_;
@@ -48,6 +61,7 @@ class InterServerNet
     std::vector<Tick> ingressFree_;
     std::uint64_t messages_ = 0;
     std::uint64_t bytes_ = 0;
+    std::uint64_t busyTicks_ = 0;
 };
 
 } // namespace umany

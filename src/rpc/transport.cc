@@ -5,7 +5,7 @@ namespace umany
 
 RNicTransport::RNicTransport(const RNicTransportParams &p,
                              std::uint64_t seed)
-    : p_(p), rng_(seed), window_(p.windowInit)
+    : p_(p), rng_(seed)
 {
 }
 
@@ -19,30 +19,8 @@ RNicTransport::sendPenalty()
             break;
         ++retx_;
         penalty += p_.retransmitTimeout;
-        // Multiplicative decrease on loss.
-        window_ = std::max<std::uint32_t>(window_ / 2, 1);
     }
     return penalty;
-}
-
-void
-RNicTransport::onAck()
-{
-    if (inFlight_ > 0)
-        --inFlight_;
-    // Additive increase per acknowledged message.
-    if (window_ < p_.windowMax)
-        ++window_;
-}
-
-Tick
-RNicTransport::windowDelay(Tick rtt_estimate) const
-{
-    if (inFlight_ < window_)
-        return 0;
-    // Sender stalls roughly one RTT per window's worth of backlog.
-    const std::uint32_t backlog = inFlight_ - window_ + 1;
-    return rtt_estimate * backlog / std::max(window_, 1u);
 }
 
 } // namespace umany

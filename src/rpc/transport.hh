@@ -3,9 +3,8 @@
  * Transport models (§4.1): the L-NIC runs on the lossless
  * back-pressured on-package network and needs no retransmission or
  * congestion control; the R-NIC talks to the lossy external network
- * and pays for reliability: per-message protocol overhead, rare
- * retransmission timeouts, and an AIMD congestion window bounding
- * in-flight messages.
+ * and pays for reliability: per-message protocol overhead and rare
+ * retransmission timeouts.
  */
 
 #ifndef UMANY_RPC_TRANSPORT_HH
@@ -26,16 +25,9 @@ struct RNicTransportParams
     double lossProbability = 5e-4;
     Tick retransmitTimeout = 25 * tickPerUs;
     std::uint32_t maxRetries = 3;
-    /** AIMD window limits. */
-    std::uint32_t windowInit = 32;
-    std::uint32_t windowMax = 256;
 };
 
-/**
- * Lossy-transport latency model. windowDelay() exposes the
- * congestion-window queueing: when in-flight messages exceed the
- * window, senders stall until acknowledgments free slots.
- */
+/** Lossy-transport latency model. */
 class RNicTransport
 {
   public:
@@ -47,24 +39,11 @@ class RNicTransport
      */
     Tick sendPenalty();
 
-    /** A message entered the network (takes a window slot). */
-    void onSend() { ++inFlight_; }
-
-    /** An acknowledgment arrived (frees a slot, grows the window). */
-    void onAck();
-
-    /** Additional stall if the window is exhausted (0 otherwise). */
-    Tick windowDelay(Tick rtt_estimate) const;
-
-    std::uint32_t window() const { return window_; }
-    std::uint32_t inFlight() const { return inFlight_; }
     std::uint64_t retransmissions() const { return retx_; }
 
   private:
     RNicTransportParams p_;
     Rng rng_;
-    std::uint32_t window_;
-    std::uint32_t inFlight_ = 0;
     std::uint64_t retx_ = 0;
 };
 

@@ -13,33 +13,12 @@ HwRq::HwRq(const HwRqParams &p) : p_(p)
         fatal("hardware RQ needs at least one entry");
 }
 
-void
-HwRq::registerService(ServiceId service)
-{
-    services_.push_back(service);
-    perService_.emplace(service, 0);
-}
-
-std::uint32_t
-HwRq::partitionQuota() const
-{
-    // Equal apportioning of the RQ_Map partitions (§4.3).
-    return p_.entries /
-           std::max<std::uint32_t>(
-               1, static_cast<std::uint32_t>(services_.size()));
-}
-
 RqAdmit
 HwRq::admit(std::uint64_t seq, ServiceRequest *req)
 {
-    const bool within_partition =
-        !p_.partitioned || services_.size() <= 1 ||
-        perService_[req->service()] < partitionQuota();
-    if (inFlight_ < p_.entries && within_partition) {
+    if (inFlight_ < p_.entries) {
         ++inFlight_;
         ++admitted_;
-        if (p_.partitioned)
-            perService_[req->service()] += 1;
         ready_.insert(seq, req);
         return RqAdmit::Admitted;
     }
@@ -83,71 +62,47 @@ HwRq::stealYoungest(ServiceRequest *&promoted)
     if (req == nullptr)
         return nullptr;
     ++stealsOut_;
-    promoted = releaseEntry(req->service());
+    promoted = releaseEntry();
     return req;
 }
 
 void
-HwRq::adoptStolen(ServiceId service)
+HwRq::adoptStolen()
 {
     ++inFlight_;
     ++stealsIn_;
-    if (p_.partitioned)
-        perService_[service] += 1;
 }
 
 ServiceRequest *
-HwRq::complete(ServiceId finished_service)
+HwRq::complete(ServiceId)
 {
     if (inFlight_ == 0)
         panic("RQ complete with no in-flight entries");
     ++completes_;
-    return releaseEntry(finished_service);
+    return releaseEntry();
 }
 
 ServiceRequest *
-HwRq::releaseEntry(ServiceId finished_service)
+HwRq::releaseEntry()
 {
     if (inFlight_ == 0)
         panic("RQ entry release with no in-flight entries");
     --inFlight_;
-    if (p_.partitioned) {
-        auto it = perService_.find(finished_service);
-        if (it != perService_.end() && it->second > 0)
-            it->second -= 1;
-    }
     if (nicBuffer_.empty())
         return nullptr;
-    // Promote the oldest buffered request whose partition has room.
-    for (auto it = nicBuffer_.begin(); it != nicBuffer_.end(); ++it) {
-        auto [seq, req] = *it;
-        if (p_.partitioned && services_.size() > 1 &&
-            perService_[req->service()] >= partitionQuota()) {
-            continue;
-        }
-        nicBuffer_.erase(it);
-        ++inFlight_;
-        ++admitted_;
-        if (p_.partitioned)
-            perService_[req->service()] += 1;
-        ready_.insert(seq, req);
-        return req;
-    }
-    return nullptr;
+    // Promote the oldest buffered request.
+    const auto [seq, req] = nicBuffer_.front();
+    nicBuffer_.pop_front();
+    ++inFlight_;
+    ++admitted_;
+    ready_.insert(seq, req);
+    return req;
 }
 
 void
 HwRq::coreIdle(CoreId core)
 {
     idleCores_.push_back(core);
-}
-
-void
-HwRq::coreBusy(CoreId core)
-{
-    auto it = std::find(idleCores_.begin(), idleCores_.end(), core);
-    if (it != idleCores_.end())
-        idleCores_.erase(it);
 }
 
 CoreId

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/queue_system.hh" // ReadyList
@@ -31,21 +30,9 @@ struct HwRqParams
 {
     std::uint32_t entries = 64;
     std::uint32_t nicBufferEntries = 256;
-    Cycles enqueueCycles = 4;   //!< NIC-side, no core involvement.
     Cycles dequeueCycles = 16;  //!< Dequeue instruction.
     Cycles completeCycles = 8;  //!< Complete instruction.
     double ghz = 2.0;
-    /** Request Context Memory entry size (saved state, §4.4). */
-    std::uint32_t contextBytes = 768;
-    /**
-     * §4.3's "more advanced design": dynamically partition the RQ
-     * across co-located services via an RQ_Map, so one service
-     * cannot hog all entries. Partitioned admission reserves
-     * entries/N per hosted service (the paper proposes proportional
-     * apportioning; equal shares model its default). Excluded from
-     * the headline evaluation, as in the paper.
-     */
-    bool partitioned = false;
 };
 
 /** Outcome of trying to admit a request into the village. */
@@ -63,12 +50,6 @@ class HwRq
     explicit HwRq(const HwRqParams &p);
 
     const HwRqParams &params() const { return p_; }
-
-    /**
-     * Register a service hosted by this village (sizes the RQ_Map
-     * partitions when partitioned mode is on).
-     */
-    void registerService(ServiceId service);
 
     /**
      * Request arrives from the village NIC.
@@ -107,8 +88,8 @@ class HwRq
     /**
      * A sibling village's idle core steals this RQ's youngest ready
      * entry (Corey schedule::steal() semantics: the youngest is the
-     * coldest). Frees the entry here; if the NIC buffer holds an
-     * admissible request it is promoted into the freed entry and
+     * coldest). Frees the entry here; if the NIC buffer holds a
+     * request, the oldest is promoted into the freed entry and
      * returned via @p promoted (same contract as complete()).
      *
      * @return The stolen request, or nullptr when nothing is ready.
@@ -120,16 +101,17 @@ class HwRq
      * it occupies an entry here from now (it goes straight to the
      * thief core, so it never visits the ready list).
      */
-    void adoptStolen(ServiceId service);
+    void adoptStolen();
 
     /**
-     * Complete instruction: free the entry of a request of
-     * @p finished_service; if the NIC buffer holds an admissible
-     * waiting request, it is promoted into the freed entry.
+     * Complete instruction: free the entry of a finished request
+     * (the operand is its service ID, which the entry count does not
+     * depend on); if the NIC buffer holds a waiting request, the
+     * oldest is promoted into the freed entry.
      *
      * @return The promoted request (now Queued) or nullptr.
      */
-    ServiceRequest *complete(ServiceId finished_service);
+    ServiceRequest *complete(ServiceId);
 
     /** Entries in use (running + blocked + ready). */
     std::uint32_t inFlight() const { return inFlight_; }
@@ -139,7 +121,6 @@ class HwRq
 
     /** @name Per-village idle-core registry (Work-flag model). @{ */
     void coreIdle(CoreId core);
-    void coreBusy(CoreId core);
     CoreId claimIdleCore();
     /** @} */
 
@@ -169,14 +150,8 @@ class HwRq
     std::uint64_t stealsIn_ = 0;
 
     /** Shared tail of complete()/stealYoungest(): release one
-     *  entry and promote the oldest admissible buffered request. */
-    ServiceRequest *releaseEntry(ServiceId finished_service);
-
-    /** RQ_Map: per-service entry occupancy (partitioned mode). */
-    std::vector<ServiceId> services_;
-    std::unordered_map<ServiceId, std::uint32_t> perService_;
-
-    std::uint32_t partitionQuota() const;
+     *  entry and promote the oldest buffered request. */
+    ServiceRequest *releaseEntry();
 };
 
 } // namespace umany

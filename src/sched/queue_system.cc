@@ -197,26 +197,16 @@ SwQueueSystem::coreIdle(CoreId core)
     queues_[queueOfCore(core)].idleCores.push_back(core);
 }
 
-void
-SwQueueSystem::coreBusy(CoreId core)
-{
-    coreIsIdle_[core] = 0;
-    // Lazy removal: claimIdleCore() skips stale entries.
-}
-
 CoreId
 SwQueueSystem::claimIdleCore(std::uint32_t q)
 {
     auto &idle = queues_[q].idleCores;
-    while (!idle.empty()) {
-        const CoreId core = idle.back();
-        idle.pop_back();
-        if (coreIsIdle_[core]) {
-            coreIsIdle_[core] = 0;
-            return core;
-        }
-    }
-    return invalidId;
+    if (idle.empty())
+        return invalidId;
+    const CoreId core = idle.back();
+    idle.pop_back();
+    coreIsIdle_[core] = 0;
+    return core;
 }
 
 } // namespace umany

@@ -118,7 +118,6 @@ class SwQueueSystem
 
     /** @name Idle-core registry (per queue). @{ */
     void coreIdle(CoreId core);
-    void coreBusy(CoreId core);
     /** An idle core of queue @p q (claimed), or invalidId. */
     CoreId claimIdleCore(std::uint32_t q);
     /** Whether @p core is currently in the idle registry

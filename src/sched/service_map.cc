@@ -75,15 +75,4 @@ ServiceMap::villagesOf(ServiceId service) const
     return entries_[service].villages;
 }
 
-std::size_t
-ServiceMap::serviceCount() const
-{
-    std::size_t n = 0;
-    for (const auto &e : entries_) {
-        if (!e.villages.empty())
-            ++n;
-    }
-    return n;
-}
-
 } // namespace umany

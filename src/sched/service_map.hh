@@ -53,9 +53,6 @@ class ServiceMap
     /** All villages hosting @p service. */
     const std::vector<VillageId> &villagesOf(ServiceId service) const;
 
-    /** Services with at least one instance. */
-    std::size_t serviceCount() const;
-
     std::uint64_t lookups() const { return lookups_; }
 
   private:

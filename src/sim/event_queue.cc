@@ -14,14 +14,6 @@ EventQueue::EventQueue()
 }
 
 void
-EventQueue::reserve(std::size_t events)
-{
-    slab_.reserve(events);
-    free_.reserve(events);
-    heap_.reserve(events);
-}
-
-void
 EventQueue::schedule(Tick when, EvTag tag, Callback cb)
 {
     if (when < _now) {
@@ -135,7 +127,7 @@ EventQueue::step()
     held_ = true;
     cb();
     if (held_) {
-        // The handler scheduled nothing (and did not reset()).
+        // The handler scheduled nothing.
         held_ = false;
         popRoot();
     }
@@ -178,20 +170,6 @@ EventQueue::runUntil(Tick limit, std::uint64_t max_events)
         step();
     }
     return RunResult::Drained;
-}
-
-void
-EventQueue::reset()
-{
-    // clear(), not reassignment: capacity stays warm for the next
-    // run in this process.
-    heap_.clear();
-    slab_.clear();
-    free_.clear();
-    held_ = false;
-    _now = 0;
-    nextSeq_ = 0;
-    dispatched_ = 0;
 }
 
 } // namespace umany

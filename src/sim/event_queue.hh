@@ -11,9 +11,7 @@
  * for the common capture shapes) stored in a slab whose freed slots
  * are recycled, and ordering is an open 4-ary heap of 24-byte
  * (tick, seq, slot) nodes over a reserved vector — sift operations
- * move small nodes and compare without touching the slab. Every
- * container keeps its capacity across reset() so repeated runs in
- * one process do not re-warm the allocator.
+ * move small nodes and compare without touching the slab.
  *
  * Fused hold: the running event's node stays at the heap root while
  * its handler runs. The handler's first schedule() overwrites the
@@ -140,18 +138,6 @@ class EventQueue
      * @return false if queue was empty.
      */
     bool step();
-
-    /**
-     * Drop all pending events and reset time to zero. Allocated
-     * capacity is retained (capacity() is unchanged).
-     */
-    void reset();
-
-    /** Grow the reserved capacity to at least @p events. */
-    void reserve(std::size_t events);
-
-    /** Events the queue can hold before reallocating (diagnostic). */
-    std::size_t capacity() const { return slab_.capacity(); }
 
   private:
     /**

@@ -117,37 +117,13 @@ Rng::gaussian()
 }
 
 double
-Rng::gaussian(double mean, double sigma)
-{
-    return mean + sigma * gaussian();
-}
-
-double
 Rng::lognormal(double mu, double sigma)
 {
     return std::exp(mu + sigma * gaussian());
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next());
-}
-
-ExponentialDist::ExponentialDist(double mean) : mean_(mean)
-{
-    if (mean <= 0.0)
-        fatal("exponential mean must be positive (got %f)", mean);
-}
-
-double
-ExponentialDist::sample(Rng &rng) const
-{
-    return rng.expMean(mean_);
-}
-
 LognormalDist::LognormalDist(double mean, double sigma)
-    : mean_(mean), sigma_(sigma)
+    : sigma_(sigma)
 {
     if (mean <= 0.0)
         fatal("lognormal mean must be positive (got %f)", mean);
@@ -159,25 +135,6 @@ double
 LognormalDist::sample(Rng &rng) const
 {
     return rng.lognormal(mu_, sigma_);
-}
-
-BimodalDist::BimodalDist(double a, double b, double p_a)
-    : a_(a), b_(b), pA_(p_a)
-{
-    if (p_a < 0.0 || p_a > 1.0)
-        fatal("bimodal probability must be in [0,1] (got %f)", p_a);
-}
-
-double
-BimodalDist::sample(Rng &rng) const
-{
-    return rng.chance(pA_) ? a_ : b_;
-}
-
-double
-BimodalDist::mean() const
-{
-    return pA_ * a_ + (1.0 - pA_) * b_;
 }
 
 Mmpp::Mmpp(std::vector<State> states, std::uint64_t seed)

@@ -74,17 +74,8 @@ class Rng
     /** Standard normal variate (Box-Muller). */
     double gaussian();
 
-    /** Normal variate with mean/stddev. */
-    double gaussian(double mean, double sigma);
-
     /** Lognormal variate parameterized by underlying mu/sigma. */
     double lognormal(double mu, double sigma);
-
-    /**
-     * Split off an independent stream (seeded from this stream).
-     * Used to give each component its own generator.
-     */
-    Rng split();
 
   private:
     std::uint64_t s_[4];
@@ -93,77 +84,19 @@ class Rng
 };
 
 /**
- * Base class for service-time distributions (Fig 20's exponential,
- * lognormal, and bimodal cases, plus general use).
- */
-class Distribution
-{
-  public:
-    virtual ~Distribution() = default;
-
-    /** Draw one sample (never negative). */
-    virtual double sample(Rng &rng) const = 0;
-
-    /** Analytic or configured mean of the distribution. */
-    virtual double mean() const = 0;
-};
-
-/** Fixed-value distribution. */
-class FixedDist : public Distribution
-{
-  public:
-    explicit FixedDist(double value) : value_(value) {}
-    double sample(Rng &) const override { return value_; }
-    double mean() const override { return value_; }
-
-  private:
-    double value_;
-};
-
-/** Exponential distribution with the given mean. */
-class ExponentialDist : public Distribution
-{
-  public:
-    explicit ExponentialDist(double mean);
-    double sample(Rng &rng) const override;
-    double mean() const override { return mean_; }
-
-  private:
-    double mean_;
-};
-
-/**
  * Lognormal distribution specified by its actual mean and the sigma
  * of the underlying normal (heavier tail for larger sigma).
  */
-class LognormalDist : public Distribution
+class LognormalDist
 {
   public:
     LognormalDist(double mean, double sigma);
-    double sample(Rng &rng) const override;
-    double mean() const override { return mean_; }
+    /** Draw one sample (never negative). */
+    double sample(Rng &rng) const;
 
   private:
-    double mean_;
     double mu_;
     double sigma_;
-};
-
-/**
- * Bimodal distribution: value a with probability p, else value b.
- * Matches the synthetic workloads of Shinjuku-style evaluations.
- */
-class BimodalDist : public Distribution
-{
-  public:
-    BimodalDist(double a, double b, double p_a);
-    double sample(Rng &rng) const override;
-    double mean() const override;
-
-  private:
-    double a_;
-    double b_;
-    double pA_;
 };
 
 /**

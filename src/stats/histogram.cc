@@ -90,26 +90,6 @@ Histogram::quantile(double q) const
     return max_;
 }
 
-double
-Histogram::fractionAbove(std::uint64_t threshold) const
-{
-    if (count_ == 0)
-        return 0.0;
-    const std::size_t cutoff = indexFor(threshold);
-    std::uint64_t above = 0;
-    // Same convention as quantile(): samples report as their bucket's
-    // upper edge, so the threshold's own bucket counts iff the
-    // threshold lands strictly below that edge (mid-bucket). The old
-    // code skipped the cutoff bucket unconditionally, undercounting
-    // every above-threshold sample that shares a bucket with the
-    // threshold.
-    if (cutoff < counts_.size() && valueFor(cutoff) > threshold)
-        above += counts_[cutoff];
-    for (std::size_t i = cutoff + 1; i < counts_.size(); ++i)
-        above += counts_[i];
-    return static_cast<double>(above) / static_cast<double>(count_);
-}
-
 void
 Histogram::merge(const Histogram &other)
 {
@@ -132,15 +112,6 @@ Histogram::merge(const Histogram &other)
     }
     count_ += other.count_;
     sum_ += other.sum_;
-}
-
-void
-Histogram::clear()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    count_ = 0;
-    min_ = max_ = 0;
-    sum_ = 0.0;
 }
 
 } // namespace umany

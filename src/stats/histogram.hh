@@ -66,29 +66,12 @@ class Histogram
     std::uint64_t p50() const { return quantile(0.50); }
 
     /**
-     * Fraction of samples strictly greater than @p threshold.
-     *
-     * Bucket convention matches quantile(): every sample in a bucket
-     * reports as the bucket's upper-edge value. The bucket containing
-     * @p threshold therefore counts as above iff its upper edge is
-     * strictly greater than @p threshold (i.e. the threshold lands
-     * mid-bucket); a threshold exactly on a bucket's upper edge
-     * excludes that bucket. Values < 64 are bucketed exactly, so the
-     * result is exact there; above that it is correct to within one
-     * bucket (<= ~1.6% relative error on the threshold).
-     */
-    double fractionAbove(std::uint64_t threshold) const;
-
-    /**
      * Merge another histogram into this one. Layouts may differ in
      * octave count (see the constructor): this histogram grows to
      * the larger of the two layouts, so no bucket of @p other is
      * ever dropped or read out of range.
      */
     void merge(const Histogram &other);
-
-    /** Forget all samples. */
-    void clear();
 
   private:
     // 64 sub-buckets per octave; values < 64 are exact.

@@ -1,10 +1,9 @@
 /**
  * @file
- * Prefetcher interface shared by the data prefetchers (stride
- * baseline, Pythia-lite RL) and the instruction prefetcher
- * (I-SPY-lite). Prefetchers observe the demand stream and fill a
- * cache; usefulness is tracked by watching demand hits on lines
- * the prefetcher inserted.
+ * Prefetcher interface shared by the data prefetcher (Pythia-lite
+ * RL) and the instruction prefetcher (I-SPY-lite). Prefetchers
+ * observe the demand stream and fill a cache; usefulness is tracked
+ * by watching demand hits on lines the prefetcher inserted.
  */
 
 #ifndef UMANY_UARCH_PREFETCHER_HH

@@ -22,8 +22,6 @@ idOf(const ServiceRequest &req)
 
 } // namespace
 
-thread_local InvariantChecker *InvariantChecker::active_ = nullptr;
-
 InvariantChecker::InvariantChecker(std::uint64_t auditPeriod)
     : auditPeriod_(auditPeriod)
 {

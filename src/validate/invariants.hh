@@ -173,7 +173,7 @@ class InvariantChecker
         std::uint32_t completes = 0;
     };
 
-    static thread_local InvariantChecker *active_;
+    static inline thread_local InvariantChecker *active_ = nullptr;
 
     std::uint64_t auditPeriod_;
     bool abortOnViolation_ = true;

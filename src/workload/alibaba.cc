@@ -28,27 +28,6 @@ AlibabaModel::sampleRpcCount()
     return static_cast<std::uint32_t>(std::lround(v));
 }
 
-double
-AlibabaModel::sampleDurationMs()
-{
-    if (rng_.chance(p_.shortFraction)) {
-        // Sub-millisecond invocations.
-        double d;
-        do {
-            d = rng_.lognormal(std::log(p_.shortMeanMs), 0.6);
-        } while (d >= 1.0);
-        return d;
-    }
-    // Remaining invocations: lognormal with the given geometric mean
-    // (geomean of a lognormal == exp(mu)), truncated to >= 1 ms so
-    // the short fraction stays exactly at the paper's 36.7%.
-    double d;
-    do {
-        d = rng_.lognormal(std::log(p_.longGeomeanMs), p_.longSigma);
-    } while (d < 1.0);
-    return d;
-}
-
 Mmpp
 AlibabaModel::makeArrivalProcess()
 {

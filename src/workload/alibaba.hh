@@ -39,11 +39,6 @@ struct AlibabaParams
     /** Lognormal RPC-count model. */
     double rpcMedian = 4.2;
     double rpcSigma = 0.82;
-    /** Request duration: P(short) and the two lognormal branches. */
-    double shortFraction = 0.367; //!< Invocations < 1 ms.
-    double shortMeanMs = 0.45;
-    double longGeomeanMs = 2.8;
-    double longSigma = 0.9;
 };
 
 /** Draws per-request samples and arrival processes from the model. */
@@ -58,9 +53,6 @@ class AlibabaModel
 
     /** Number of RPC invocations of one dynamic request (>= 0). */
     std::uint32_t sampleRpcCount();
-
-    /** End-to-end duration of one dynamic request (ms). */
-    double sampleDurationMs();
 
     /** A fresh bursty arrival process (arrivals per second). */
     Mmpp makeArrivalProcess();

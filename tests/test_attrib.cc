@@ -143,11 +143,6 @@ TEST(CriticalPath, DescendsGatingChildOfThreeLevelTree)
     // leaves 5us slack; the leaf's own 15us storage wait stays.
     EXPECT_EQ(at(AttribComp::BlockedOnChild), (5 + 15) * kUs);
     EXPECT_EQ(path.totalTicks, root.total());
-
-    // Ranked order is by charged ticks, descending.
-    const std::vector<AttribComp> ranked = path.ranked();
-    ASSERT_FALSE(ranked.empty());
-    EXPECT_EQ(ranked.front(), AttribComp::ServiceExec);
 }
 
 TEST(CriticalPath, UnresolvableChildTerminatesDescent)

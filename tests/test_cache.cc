@@ -18,7 +18,7 @@ namespace
 CacheParams
 smallCache()
 {
-    return CacheParams{"c", 4096, 4, 64, 2, 8}; // 16 sets x 4 ways
+    return CacheParams{"c", 4096, 4, 64, 2}; // 16 sets x 4 ways
 }
 
 TEST(Cache, MissThenHit)
@@ -51,27 +51,19 @@ TEST(Cache, LruEvictsOldest)
 
 TEST(Cache, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup)
 {
-    Cache c(CacheParams{"c", 64 * 1024, 8, 64, 2, 8});
+    Cache c(CacheParams{"c", 64 * 1024, 8, 64, 2});
     Rng rng(1);
     std::vector<std::uint64_t> ws;
     for (int i = 0; i < 256; ++i)
         ws.push_back(rng.below(1 << 20) * 64);
     for (const std::uint64_t a : ws)
         c.access(a);
-    c.clearStats();
+    const std::uint64_t warm_misses = c.misses();
     for (int r = 0; r < 10; ++r) {
         for (const std::uint64_t a : ws)
             c.access(a);
     }
-    EXPECT_DOUBLE_EQ(c.hitRate(), 1.0);
-}
-
-TEST(Cache, FlushInvalidatesEverything)
-{
-    Cache c(smallCache());
-    c.access(0x42000);
-    c.flush();
-    EXPECT_FALSE(c.contains(0x42000));
+    EXPECT_EQ(c.misses(), warm_misses);
 }
 
 TEST(Cache, FillDoesNotCountAccess)
@@ -89,14 +81,6 @@ TEST(CacheDeathTest, BadGeometryIsFatal)
     p.ways = 3;
     p.lineBytes = 64;
     EXPECT_DEATH({ Cache c(p); }, "divisible");
-}
-
-TEST(ReplacementPolicy, RandomStaysInRange)
-{
-    RandomPolicy p(7);
-    p.reset(4, 8);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_LT(p.victim(2), 8u);
 }
 
 TEST(ReplacementPolicy, ProfileGuidedProtectsHotLines)
@@ -140,7 +124,7 @@ TEST(Tlb, NonDivisibleEntriesRoundDown)
 
 TEST(Hierarchy, L1HitIsCheapest)
 {
-    CacheHierarchy h(manycoreHierarchyParams());
+    CacheHierarchy h(serverClassHierarchyParams());
     const Cycles first = h.access(0x5000, false);
     const Cycles second = h.access(0x5000, false);
     EXPECT_GT(first, second);
@@ -152,32 +136,19 @@ TEST(Hierarchy, ServerClassHasL3)
     CacheHierarchy h(serverClassHierarchyParams());
     EXPECT_NE(h.l3(), nullptr);
     EXPECT_NE(h.l2tlb(), nullptr);
-    CacheHierarchy m(manycoreHierarchyParams());
-    EXPECT_EQ(m.l3(), nullptr);
-    EXPECT_EQ(m.l2tlb(), nullptr);
 }
 
 TEST(Hierarchy, MissRatesTrackAccesses)
 {
-    CacheHierarchy h(manycoreHierarchyParams());
+    CacheHierarchy h(serverClassHierarchyParams());
     Rng rng(11);
     for (int i = 0; i < 20000; ++i)
         h.access(rng.below(8 << 20), i % 4 == 0);
-    EXPECT_GT(h.l1MissRate(false), 0.0);
-    EXPECT_LE(h.l1MissRate(false), 1.0);
+    EXPECT_GT(h.l1d().misses(), 0u);
+    EXPECT_LE(h.l1d().misses(), h.l1d().accesses());
     EXPECT_GT(h.l1d().accesses(), 0u);
     EXPECT_GT(h.l1i().accesses(), 0u);
     EXPECT_GT(h.l2().accesses(), 0u);
-}
-
-TEST(Hierarchy, FlushColdRestart)
-{
-    CacheHierarchy h(manycoreHierarchyParams());
-    h.access(0x1234, false);
-    h.flush();
-    h.clearStats();
-    h.access(0x1234, false);
-    EXPECT_EQ(h.l1d().misses(), 1u);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for Config, logging helpers, SimObject, and the runners'
- * rejection of configurations they cannot run.
+ * Tests for Config, the shared observability flags, logging
+ * helpers, SimObject, and the runners' rejection of configurations
+ * they cannot run.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +109,38 @@ TEST(ConfigDeathTest, RackExperimentShardsOtherThanOneIsFatal)
     cfg.base.shards = 0;
     EXPECT_DEATH(runRackExperiment(cat, cfg),
                  "shards=0: only the serial");
+}
+
+TEST(ObsFlags, ProgressSpellings)
+{
+    for (const char *on : {"progress=on", "progress=yes",
+                           "progress=true", "--progress"}) {
+        Config c;
+        const char *argv[] = {"prog", on};
+        c.parseArgs(2, const_cast<char **>(argv));
+        EXPECT_DOUBLE_EQ(obsFromConfig(c).progressSec, 5.0) << on;
+    }
+    Config c;
+    const char *argv[] = {"prog", "progress=off", "tail_topk=4"};
+    c.parseArgs(3, const_cast<char **>(argv));
+    const ObsConfig obs = obsFromConfig(c);
+    EXPECT_EQ(obs.progressSec, 0.0);
+    EXPECT_EQ(obs.tailTopK, 4u);
+}
+
+TEST(ObsFlagsDeathTest, OutOfRangeValuesAreFatal)
+{
+    const auto parse = [](const char *arg) {
+        Config c;
+        const char *argv[] = {"prog", arg};
+        c.parseArgs(2, const_cast<char **>(argv));
+        return obsFromConfig(c);
+    };
+    EXPECT_DEATH(parse("tail_topk=0"), "tail_topk must be positive");
+    EXPECT_DEATH(parse("tail_topk=-1"), "tail_topk must be positive");
+    EXPECT_DEATH(parse("sample_interval_us=-5"),
+                 "sample_interval_us must be >= 0");
+    EXPECT_DEATH(parse("progress=-1"), "progress must be >= 0");
 }
 
 TEST(Logging, StrprintfFormats)

@@ -216,7 +216,7 @@ TEST(HwRqSteal, YoungestFirstAndConserved)
     ASSERT_NE(promoted, nullptr);
     EXPECT_EQ(promoted, pool[4].get());
     EXPECT_EQ(victim.stealsOut(), 1u);
-    thief.adoptStolen(stolen->service());
+    thief.adoptStolen();
     EXPECT_EQ(thief.stealsIn(), 1u);
     EXPECT_EQ(thief.inFlight(), 1u);
 

@@ -160,37 +160,6 @@ TEST(Qos, SearchFindsThresholdBetweenBounds)
     EXPECT_LE(r.violationRateAtMax, 0.25);
 }
 
-TEST(Qos, PerPolicySearchSharesRrThresholds)
-{
-    // The per-policy composition derives the QoS thresholds ONCE
-    // from the round-robin baseline and reuses them for every
-    // policy, so the numbers answer "what does the policy buy at
-    // the same bar" rather than moving the bar per policy.
-    const ServiceCatalog cat = buildSocialNetwork();
-    ExperimentConfig base = tinyConfig();
-    base.cluster.numServers = 1;
-    base.measure = fromMs(40.0);
-    QosSearchConfig qcfg;
-    qcfg.loRps = 500.0;
-    qcfg.hiRps = 50000.0;
-    qcfg.iterations = 3;
-    const auto byPolicy = findMaxQosThroughputPerPolicy(
-        cat, base,
-        {DispatchKind::RoundRobin, DispatchKind::Po2c}, qcfg);
-    ASSERT_EQ(byPolicy.size(), 2u);
-    const QosResult &rr = byPolicy.at(DispatchKind::RoundRobin);
-    const QosResult &po2c = byPolicy.at(DispatchKind::Po2c);
-    EXPECT_EQ(rr.thresholds, po2c.thresholds);
-    for (const auto &[kind, r] : byPolicy) {
-        EXPECT_GE(r.maxRpsPerServer, qcfg.loRps);
-        EXPECT_LE(r.maxRpsPerServer, qcfg.hiRps);
-    }
-    // And the rr entry is exactly the plain search: composition
-    // must not perturb the baseline it is defined against.
-    EXPECT_EQ(rr.maxRpsPerServer,
-              findMaxQosThroughput(cat, base, qcfg).maxRpsPerServer);
-}
-
 TEST(Report, MeanReductionGeometric)
 {
     RunMetrics a, b;

@@ -96,18 +96,6 @@ TEST(EventQueue, SchedulingInThePastPanics)
     EXPECT_DEATH(eq.schedule(50, []() {}), "past");
 }
 
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue eq;
-    eq.schedule(10, []() {});
-    eq.schedule(20, []() {});
-    eq.step();
-    eq.reset();
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.now(), 0u);
-    EXPECT_EQ(eq.dispatched(), 0u);
-}
-
 TEST(EventQueue, CountsDispatchedEvents)
 {
     EventQueue eq;
@@ -115,27 +103,6 @@ TEST(EventQueue, CountsDispatchedEvents)
         eq.schedule(static_cast<Tick>(i), []() {});
     eq.run();
     EXPECT_EQ(eq.dispatched(), 5u);
-}
-
-TEST(EventQueue, ResetKeepsAllocatedCapacity)
-{
-    EventQueue eq;
-    for (int i = 0; i < 10000; ++i)
-        eq.schedule(static_cast<Tick>(i), []() {});
-    const std::size_t grown = eq.capacity();
-    EXPECT_GE(grown, 10000u);
-    eq.reset();
-    EXPECT_TRUE(eq.empty());
-    // clear, don't free: back-to-back runs in one process must not
-    // re-warm the allocator.
-    EXPECT_EQ(eq.capacity(), grown);
-}
-
-TEST(EventQueue, ReserveGrowsCapacity)
-{
-    EventQueue eq;
-    eq.reserve(5000);
-    EXPECT_GE(eq.capacity(), 5000u);
 }
 
 TEST(EventQueue, SlotRecyclingSurvivesMixedScheduleDispatch)
@@ -377,25 +344,6 @@ TEST(EventQueue, RunUntilAfterHandlerThatSchedulesPastLimit)
     EXPECT_EQ(eq.size(), 1u);
     EXPECT_EQ(eq.runUntil(150, 10), EventQueue::RunResult::Drained);
     EXPECT_EQ(fired, (std::vector<Tick>{50, 150}));
-}
-
-TEST(EventQueue, ResetInsideHandlerLeavesAnEmptyQueue)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&]() {
-        ++fired;
-        eq.scheduleAfter(1, [&]() { ++fired; });
-        eq.reset();
-    });
-    eq.schedule(20, [&]() { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eq.empty());
-    eq.schedule(5, [&]() { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 5u);
 }
 
 TEST(EventQueue, StepInsideHandlerPanics)

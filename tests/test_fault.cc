@@ -251,26 +251,6 @@ TEST(FaultPlanTest, BuildersAreSeedDeterministic)
     EXPECT_TRUE(differs) << "different seeds -> different plans";
 }
 
-TEST(FaultPlanTest, ParseRoundTrips)
-{
-    const FaultPlan p = FaultPlan::parse(
-        "# comment line\n"
-        "10.5 link_down 7\n"
-        "20 node_down 3 server=2\n"
-        "30 village_down 1\n"
-        "40 corrupt p=0.01\n"
-        "\n");
-    ASSERT_EQ(p.events.size(), 4u);
-    EXPECT_EQ(p.events[0].at, fromUs(10.5));
-    EXPECT_EQ(p.events[0].kind, FaultKind::LinkDown);
-    EXPECT_EQ(p.events[0].target, 7u);
-    EXPECT_EQ(p.events[0].server, invalidId);
-    EXPECT_EQ(p.events[1].server, 2u);
-    EXPECT_EQ(p.events[2].kind, FaultKind::VillageDown);
-    EXPECT_EQ(p.events[3].kind, FaultKind::Corruption);
-    EXPECT_DOUBLE_EQ(p.events[3].prob, 0.01);
-}
-
 TEST(ServiceMapLiveness, PickLiveSkipsDeadVillages)
 {
     ServiceMap map;

@@ -95,82 +95,6 @@ TEST(Histogram, MeanMatchesExact)
     EXPECT_NEAR(h.mean(), sum / 10000.0, 1e-6);
 }
 
-TEST(Histogram, FractionAbove)
-{
-    Histogram h;
-    for (std::uint64_t v = 1; v <= 100; ++v)
-        h.add(v * 1000);
-    const double frac = h.fractionAbove(50000);
-    EXPECT_NEAR(frac, 0.5, 0.05);
-    EXPECT_EQ(h.fractionAbove(1ull << 40), 0.0);
-}
-
-TEST(Histogram, FractionAboveIsExactBelow64)
-{
-    // Values < 64 land in exact single-value buckets, so the strict
-    // "fraction above" is exact there.
-    Histogram h;
-    for (std::uint64_t v = 0; v < 64; ++v)
-        h.add(v);
-    for (const std::uint64_t t : {0ull, 1ull, 31ull, 62ull, 63ull}) {
-        EXPECT_DOUBLE_EQ(h.fractionAbove(t),
-                         static_cast<double>(63 - t) / 64.0)
-            << "t=" << t;
-    }
-}
-
-TEST(Histogram, FractionAboveCountsThresholdsOwnBucket)
-{
-    // 1 << 20 starts a bucket of width 1 << 14; samples mid-bucket
-    // report as the bucket's upper edge, so any threshold below that
-    // edge must count them. The old code skipped the threshold's
-    // bucket unconditionally and reported 0 here.
-    const std::uint64_t base = 1ull << 20;
-    const std::uint64_t width = 1ull << 14;
-    Histogram h;
-    h.add(base + 100, 1000);
-    EXPECT_DOUBLE_EQ(h.fractionAbove(base), 1.0);
-    EXPECT_DOUBLE_EQ(h.fractionAbove(base + width / 2), 1.0);
-    // A threshold exactly on the bucket's upper edge excludes it
-    // (nothing is *strictly* above), matching quantile()'s
-    // upper-edge convention.
-    EXPECT_DOUBLE_EQ(h.fractionAbove(base + width - 1), 0.0);
-}
-
-TEST(Histogram, FractionAboveMatchesBruteForceConvention)
-{
-    // Reference: every sample reports as its bucket's upper edge
-    // (quantile()'s convention); fractionAbove(T) is the fraction of
-    // reported values strictly greater than T.
-    const auto upperEdge = [](std::uint64_t v) -> std::uint64_t {
-        if (v < 64)
-            return v;
-        int msb = 63;
-        while (((v >> msb) & 1ull) == 0)
-            --msb;
-        const std::uint64_t step = 1ull << (msb - 6);
-        return (v & ~(step - 1)) + step - 1;
-    };
-    Rng rng(99);
-    Histogram h;
-    std::vector<std::uint64_t> vals;
-    for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t v = rng.below(1ull << 22);
-        vals.push_back(v);
-        h.add(v);
-    }
-    for (const std::uint64_t t :
-         {0ull, 63ull, 64ull, 1000ull, (1ull << 20) + 12345ull,
-          1ull << 21, (1ull << 22) + 1ull}) {
-        std::uint64_t above = 0;
-        for (const std::uint64_t v : vals)
-            above += upperEdge(v) > t ? 1 : 0;
-        EXPECT_DOUBLE_EQ(h.fractionAbove(t),
-                         static_cast<double>(above) / 5000.0)
-            << "t=" << t;
-    }
-}
-
 TEST(Histogram, MergeGrowsMismatchedLayouts)
 {
     // A 3-octave layout only covers values < 128; merging a
@@ -249,8 +173,6 @@ TEST(Histogram, MergedShardsEqualConcatenatedStream)
     EXPECT_DOUBLE_EQ(merged.mean(), whole.mean());
     for (double q = 0.01; q < 1.0; q += 0.01)
         EXPECT_EQ(merged.quantile(q), whole.quantile(q)) << q;
-    EXPECT_DOUBLE_EQ(merged.fractionAbove(1u << 20),
-                     whole.fractionAbove(1u << 20));
 }
 
 TEST(Histogram, MergedQuantileErrorStaysBounded)
@@ -280,15 +202,6 @@ TEST(Histogram, MergedQuantileErrorStaysBounded)
             static_cast<double>(exact);
         EXPECT_LT(rel, 0.03) << "q=" << q;
     }
-}
-
-TEST(Histogram, ClearResets)
-{
-    Histogram h;
-    h.add(123);
-    h.clear();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.mean(), 0.0);
 }
 
 TEST(Histogram, MonotoneQuantiles)

@@ -4,8 +4,7 @@
  * random admit/dequeue/block/wake/complete interleavings are run
  * against a straightforward reference model (a sorted ready map, a
  * FIFO buffer deque, and plain counters), and every observable of
- * the real HwRq must match after every operation — in both the
- * default and the partitioned (RQ_Map) admission modes.
+ * the real HwRq must match after every operation.
  */
 
 #include <gtest/gtest.h>
@@ -36,18 +35,14 @@ trivialBehavior()
 class RefModel
 {
   public:
-    RefModel(const HwRqParams &p, std::uint32_t numServices)
-        : p_(p), perService_(numServices, 0)
-    {
-    }
+    explicit RefModel(const HwRqParams &p) : p_(p) {}
 
     RqAdmit
     admit(std::uint64_t seq, ServiceRequest *req)
     {
-        if (inFlight < p_.entries && withinPartition(req->service())) {
+        if (inFlight < p_.entries) {
             ++inFlight;
             ++admitted;
-            bumpService(req->service());
             ready[seq] = req;
             return RqAdmit::Admitted;
         }
@@ -76,26 +71,18 @@ class RefModel
     }
 
     ServiceRequest *
-    complete(ServiceId svc)
+    complete()
     {
         --inFlight;
         ++completes;
-        if (p_.partitioned && svc < perService_.size() &&
-            perService_[svc] > 0) {
-            perService_[svc] -= 1;
-        }
-        for (auto it = buffer.begin(); it != buffer.end(); ++it) {
-            if (!withinPartition(it->second->service()))
-                continue;
-            auto [seq, req] = *it;
-            buffer.erase(it);
-            ++inFlight;
-            ++admitted;
-            bumpService(req->service());
-            ready[seq] = req;
-            return req;
-        }
-        return nullptr;
+        if (buffer.empty())
+            return nullptr;
+        auto [seq, req] = buffer.front();
+        buffer.pop_front();
+        ++inFlight;
+        ++admitted;
+        ready[seq] = req;
+        return req;
     }
 
     std::map<std::uint64_t, ServiceRequest *> ready;
@@ -106,31 +93,7 @@ class RefModel
     std::uint64_t completes = 0;
 
   private:
-    bool
-    withinPartition(ServiceId svc) const
-    {
-        return !p_.partitioned || perService_.size() <= 1 ||
-               perService_[svc] < quota();
-    }
-
-    std::uint32_t
-    quota() const
-    {
-        return p_.entries /
-               std::max<std::uint32_t>(
-                   1,
-                   static_cast<std::uint32_t>(perService_.size()));
-    }
-
-    void
-    bumpService(ServiceId svc)
-    {
-        if (p_.partitioned && svc < perService_.size())
-            perService_[svc] += 1;
-    }
-
     HwRqParams p_;
-    std::vector<std::uint32_t> perService_;
 };
 
 void
@@ -138,9 +101,7 @@ fuzz(const HwRqParams &params, std::uint32_t numServices,
      std::uint64_t seed, int ops)
 {
     HwRq rq(params);
-    RefModel ref(params, numServices);
-    for (ServiceId s = 0; s < numServices; ++s)
-        rq.registerService(s);
+    RefModel ref(params);
 
     Rng rng(seed);
     std::vector<std::unique_ptr<ServiceRequest>> pool;
@@ -208,7 +169,7 @@ fuzz(const HwRqParams &params, std::uint32_t numServices,
             const std::size_t i = rng.below(running.size());
             ServiceRequest *req = running[i];
             running.erase(running.begin() + i);
-            ServiceRequest *want = ref.complete(req->service());
+            ServiceRequest *want = ref.complete();
             ServiceRequest *got = rq.complete(req->service());
             ASSERT_EQ(got, want) << "op " << op;
         }
@@ -236,25 +197,6 @@ TEST(HwRqFuzz, MultiServiceDefaultMode)
         fuzz(p, 3, seed, 10000);
 }
 
-TEST(HwRqFuzz, PartitionedModeMatchesReference)
-{
-    HwRqParams p;
-    p.entries = 9;
-    p.nicBufferEntries = 4;
-    p.partitioned = true;
-    for (const std::uint64_t seed : {21ull, 22ull, 23ull})
-        fuzz(p, 3, seed, 10000);
-}
-
-TEST(HwRqFuzz, PartitionedSingleServiceNeverQuotaLimited)
-{
-    HwRqParams p;
-    p.entries = 4;
-    p.nicBufferEntries = 2;
-    p.partitioned = true;
-    fuzz(p, 1, 31, 10000);
-}
-
 TEST(HwRq, IdleCoreRegistryLifo)
 {
     HwRq rq(HwRqParams{});
@@ -263,8 +205,8 @@ TEST(HwRq, IdleCoreRegistryLifo)
     rq.coreIdle(5);
     rq.coreIdle(7);
     EXPECT_EQ(rq.idleCores().size(), 3u);
-    rq.coreBusy(5); // removed from the middle
     EXPECT_EQ(rq.claimIdleCore(), 7u);
+    EXPECT_EQ(rq.claimIdleCore(), 5u);
     EXPECT_EQ(rq.claimIdleCore(), 3u);
     EXPECT_EQ(rq.claimIdleCore(), invalidId);
 }

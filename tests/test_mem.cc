@@ -13,23 +13,11 @@ namespace umany
 namespace
 {
 
-TEST(Coherence, VillageScopeRestrictsMigration)
-{
-    CoherenceParams p;
-    p.scope = CoherenceScope::Village;
-    CoherenceModel m(p);
-    EXPECT_TRUE(m.migrationAllowed(3, 3));
-    EXPECT_FALSE(m.migrationAllowed(3, 4));
-    EXPECT_EQ(m.directoryOverhead(), 0u);
-}
-
 TEST(Coherence, GlobalScopeAllowsMigrationAtACost)
 {
     CoherenceParams p;
     p.scope = CoherenceScope::Global;
     CoherenceModel m(p);
-    EXPECT_TRUE(m.migrationAllowed(3, 4));
-    EXPECT_GT(m.directoryOverhead(), 0u);
     EXPECT_GT(m.migrationBytes(false), 0u);
     EXPECT_EQ(m.migrationBytes(true), 0u);
 }

@@ -123,13 +123,5 @@ TEST(Budget, IsoAreaServerClassBurnsMuchMorePower)
     EXPECT_NEAR(sc128.totalW / um.totalW, 3.2, 0.8);
 }
 
-TEST(Budget, ScaleOutTracksUManycore)
-{
-    const PackageBudget um = uManycoreBudget();
-    const PackageBudget so = scaleOutBudget();
-    EXPECT_NEAR(so.totalAreaMm2, um.totalAreaMm2,
-                0.05 * um.totalAreaMm2);
-}
-
 } // namespace
 } // namespace umany

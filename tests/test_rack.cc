@@ -10,10 +10,12 @@
 
 #include <algorithm>
 
+#include "arch/machine.hh"
 #include "arch/presets.hh"
 #include "driver/report.hh"
 #include "fault/fault_plan.hh"
 #include "rack/rack_experiment.hh"
+#include "sim/logging.hh"
 #include "workload/app_graph.hh"
 
 namespace umany
@@ -38,31 +40,39 @@ smallBase()
 
 TEST(RackNet, UncontendedLatencyIsTheCalibratedPath)
 {
-    RackNet net(RackNetParams::forKind(RackNetKind::Rdma, 2));
+    // Two packages; the load balancer is node 2.
+    InterServerNet net(rackNetParams(RackNetKind::Rdma, 2));
     // 512 B at 100 GB/s serializes in 5.12 ns at each end; the path
     // is perEnd + ser + oneWay + ser + perEnd.
     const Tick ser = fromNs(512.0 / 100.0);
     const Tick want = 500 * tickPerNs + ser + 1500 * tickPerNs +
                       ser + 500 * tickPerNs;
-    EXPECT_EQ(net.send(net.lbNode(), 0, 512, 0), want);
+    Tick queued = 1;
+    EXPECT_EQ(net.send(2, 0, 512, 0, &queued), want);
+    EXPECT_EQ(queued, 0u);
     EXPECT_EQ(net.messages(), 1u);
     EXPECT_EQ(net.bytes(), 512u);
+    EXPECT_EQ(net.busyTicks(), 2 * ser);
+    EXPECT_EQ(net.linkCount(), 6u);
 }
 
 TEST(RackNet, EgressOccupancyQueuesBackToBackSends)
 {
-    RackNet net(RackNetParams::forKind(RackNetKind::Rdma, 2));
-    const Tick first = net.send(net.lbNode(), 0, 1 << 20, 0);
+    InterServerNet net(rackNetParams(RackNetKind::Rdma, 2));
+    const Tick first = net.send(2, 0, 1 << 20, 0);
     // Same source, same instant: the second message waits for the
-    // first to finish serializing, so it lands strictly later.
-    const Tick second = net.send(net.lbNode(), 1, 1 << 20, 0);
+    // first to finish serializing, so it lands strictly later, and
+    // the wait is its queueing share.
+    Tick queued = 0;
+    const Tick second = net.send(2, 1, 1 << 20, 0, &queued);
     EXPECT_GT(second, first);
+    EXPECT_EQ(queued, fromNs((1 << 20) / 100.0));
 }
 
 TEST(RackNet, NanoPuBeatsRdma)
 {
-    RackNet rdma(RackNetParams::forKind(RackNetKind::Rdma, 2));
-    RackNet nano(RackNetParams::forKind(RackNetKind::NanoPu, 2));
+    InterServerNet rdma(rackNetParams(RackNetKind::Rdma, 2));
+    InterServerNet nano(rackNetParams(RackNetKind::NanoPu, 2));
     EXPECT_LT(nano.send(0, 1, 512, 0), rdma.send(0, 1, 512, 0));
 }
 
@@ -265,6 +275,79 @@ TEST(Rack, HeterogeneousRackRunsPerPackageMachines)
     // Both packages' stats trees are present under their prefixes.
     EXPECT_TRUE(stats.has("pkg0.cluster.latency.p99_ms"));
     EXPECT_TRUE(stats.has("pkg1.cluster.latency.p99_ms"));
+}
+
+/** Non-access (fabric) links of @p machine's on-package network. */
+double
+fabricLinks(const MachineParams &machine)
+{
+    const auto topo = makeTopology(machine);
+    double n = 0.0;
+    for (const auto &link : topo->links())
+        n += link.access ? 0.0 : 1.0;
+    return n;
+}
+
+/**
+ * The rack's mean link utilization, recomputed from the per-server
+ * stats in the collector's order: the plain per-server mean, and
+ * the mean weighted by each server's fabric-link count.
+ */
+void
+linkMeans(const StatsDump &stats, const RackExperimentConfig &cfg,
+          double &plain, double &weighted)
+{
+    double sum = 0.0;
+    double weightedSum = 0.0;
+    double links = 0.0;
+    double servers = 0.0;
+    for (std::uint32_t p = 0; p < cfg.rack.packages; ++p) {
+        const double fabric = fabricLinks(
+            cfg.machines.empty() ? cfg.base.machine : cfg.machines[p]);
+        for (std::uint32_t s = 0; s < cfg.base.cluster.numServers;
+             ++s) {
+            const double u = stats.value(
+                strprintf("pkg%u.server%u.net.link_util_mean", p, s));
+            sum += u;
+            weightedSum += u * fabric;
+            links += fabric;
+            servers += 1.0;
+        }
+    }
+    plain = sum / servers;
+    weighted = weightedSum / links;
+}
+
+TEST(Rack, LinkUtilizationIsWeightedOnlyAcrossUnequalNetworks)
+{
+    const ServiceCatalog catalog = buildSocialNetwork();
+    RackExperimentConfig cfg;
+    cfg.base = smallBase();
+    cfg.base.cluster.numServers = 2;
+    cfg.rack.packages = 2;
+
+    // Every server has the same network: the plain per-server mean.
+    StatsDump stats;
+    RunMetrics m = runRackExperiment(catalog, cfg, &stats);
+    double plain = 0.0;
+    double weighted = 0.0;
+    linkMeans(stats, cfg, plain, weighted);
+    // uManycore's 576 fabric links are not a power of two, so the
+    // two formulas round differently here and the check can tell
+    // them apart.
+    ASSERT_NE(plain, weighted);
+    EXPECT_EQ(m.meanLinkUtilization, plain);
+
+    // uManycore and ScaleOut packages: each server's mean counts in
+    // proportion to its fabric links.
+    cfg.machines = {uManycoreParams(), scaleOutParams()};
+    ASSERT_NE(fabricLinks(cfg.machines[0]),
+              fabricLinks(cfg.machines[1]));
+    StatsDump het_stats;
+    m = runRackExperiment(catalog, cfg, &het_stats);
+    linkMeans(het_stats, cfg, plain, weighted);
+    EXPECT_EQ(m.meanLinkUtilization, weighted);
+    EXPECT_NE(m.meanLinkUtilization, plain);
 }
 
 } // namespace

@@ -86,29 +86,6 @@ TEST(Distributions, LognormalMeanMatches)
     EXPECT_NEAR(sum / n, 10.0, 0.4);
 }
 
-TEST(Distributions, BimodalMeanAndSupport)
-{
-    Rng r(19);
-    BimodalDist d(1.0, 100.0, 0.9);
-    EXPECT_NEAR(d.mean(), 0.9 * 1.0 + 0.1 * 100.0, 1e-12);
-    int longs = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        const double v = d.sample(r);
-        ASSERT_TRUE(v == 1.0 || v == 100.0);
-        longs += v == 100.0;
-    }
-    EXPECT_NEAR(longs / static_cast<double>(n), 0.1, 0.01);
-}
-
-TEST(Distributions, FixedIsFixed)
-{
-    Rng r(23);
-    FixedDist d(4.2);
-    EXPECT_EQ(d.sample(r), 4.2);
-    EXPECT_EQ(d.mean(), 4.2);
-}
-
 TEST(Mmpp, AverageRateApproximatelyHolds)
 {
     Mmpp proc({{100.0, 0.5}, {1000.0, 0.5}}, 77);
@@ -145,16 +122,6 @@ TEST(Mmpp, BurstierThanPoisson)
     var /= counts.size();
     // Poisson would have var ~= mean; MMPP should far exceed it.
     EXPECT_GT(var, 3.0 * mean);
-}
-
-TEST(Rng, SplitStreamsAreIndependent)
-{
-    Rng a(123);
-    Rng b = a.split();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += a.next() == b.next();
-    EXPECT_LT(same, 2);
 }
 
 } // namespace

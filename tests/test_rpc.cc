@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "rpc/inter_server.hh"
-#include "rpc/network_hub.hh"
 #include "rpc/nic.hh"
 #include "rpc/top_nic.hh"
 #include "rpc/transport.hh"
@@ -66,33 +65,6 @@ TEST(RNicTransport, LossCausesRetransmissions)
     EXPECT_EQ(penalty,
               p.protocolOverhead + 3 * p.retransmitTimeout);
     EXPECT_EQ(t.retransmissions(), 3u);
-    // Multiplicative decrease shrank the window.
-    EXPECT_LT(t.window(), p.windowInit);
-}
-
-TEST(RNicTransport, AimdWindowGrowsOnAcks)
-{
-    RNicTransportParams p;
-    p.lossProbability = 0.0;
-    RNicTransport t(p, 1);
-    const std::uint32_t w0 = t.window();
-    for (int i = 0; i < 10; ++i) {
-        t.onSend();
-        t.onAck();
-    }
-    EXPECT_GT(t.window(), w0);
-    EXPECT_EQ(t.inFlight(), 0u);
-}
-
-TEST(RNicTransport, WindowDelayWhenExhausted)
-{
-    RNicTransportParams p;
-    p.windowInit = 2;
-    RNicTransport t(p, 1);
-    t.onSend();
-    EXPECT_EQ(t.windowDelay(fromUs(1.0)), 0u);
-    t.onSend();
-    EXPECT_GT(t.windowDelay(fromUs(1.0)), 0u);
 }
 
 TEST(TopLevelNic, IngressOccupiesBandwidth)
@@ -165,19 +137,6 @@ TEST(InterServerDeathTest, OutOfRangePanics)
     p.numServers = 2;
     InterServerNet net(p);
     EXPECT_DEATH(net.send(0, 5, 100, 0), "out of range");
-}
-
-TEST(NetworkHub, CountsTraffic)
-{
-    NetworkHub hub("hub0");
-    hub.countIntraCluster(100);
-    hub.countIcn(200);
-    hub.countExternal(300);
-    EXPECT_EQ(hub.intraClusterMsgs(), 1u);
-    EXPECT_EQ(hub.icnMsgs(), 1u);
-    EXPECT_EQ(hub.externalMsgs(), 1u);
-    EXPECT_EQ(hub.totalBytes(), 600u);
-    EXPECT_EQ(hub.name(), "hub0");
 }
 
 } // namespace

@@ -81,7 +81,7 @@ TEST(Cdf, CurveIsMonotone)
     Rng rng(9);
     Cdf c;
     for (int i = 0; i < 1000; ++i)
-        c.add(rng.gaussian(100.0, 20.0));
+        c.add(100.0 + 20.0 * rng.gaussian());
     const auto curve = c.curve(20, 0.0, 200.0);
     ASSERT_EQ(curve.size(), 20u);
     for (std::size_t i = 1; i < curve.size(); ++i) {

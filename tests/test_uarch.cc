@@ -12,7 +12,6 @@
 #include "uarch/perceptron.hh"
 #include "uarch/pipeline_model.hh"
 #include "uarch/pythia_lite.hh"
-#include "uarch/stride_prefetcher.hh"
 #include "uarch/trace_gen.hh"
 
 namespace umany
@@ -69,41 +68,10 @@ TEST(Perceptron, LearnsLongRangeCorrelation)
     EXPECT_GT(g_wrong, 10000);  // g-share: ~50%
 }
 
-TEST(StridePrefetcher, CatchesSequentialStream)
-{
-    Cache c(CacheParams{"c", 8192, 4, 64, 2, 8});
-    StridePrefetcher pf(8, 4);
-    std::uint64_t misses = 0;
-    for (std::uint64_t i = 0; i < 2000; ++i) {
-        const std::uint64_t addr = i * 64;
-        if (!c.access(addr))
-            ++misses;
-        pf.observe(addr, true, c);
-    }
-    // Without prefetching every access would miss (new line each).
-    EXPECT_LT(misses, 200u);
-    EXPECT_GT(pf.useful(), 1000u);
-    EXPECT_GT(pf.accuracy(), 0.8);
-}
-
-TEST(StridePrefetcher, HandlesNegativeStride)
-{
-    Cache c(CacheParams{"c", 8192, 4, 64, 2, 8});
-    StridePrefetcher pf(8, 2);
-    std::uint64_t misses = 0;
-    for (std::uint64_t i = 2000; i > 0; --i) {
-        const std::uint64_t addr = i * 64;
-        if (!c.access(addr))
-            ++misses;
-        pf.observe(addr, true, c);
-    }
-    EXPECT_LT(misses, 300u);
-}
-
 TEST(PythiaLite, LearnsToPrefetchStreams)
 {
-    Cache base(CacheParams{"c", 8192, 4, 64, 2, 8});
-    Cache with(CacheParams{"c", 8192, 4, 64, 2, 8});
+    Cache base(CacheParams{"c", 8192, 4, 64, 2});
+    Cache with(CacheParams{"c", 8192, 4, 64, 2});
     PythiaLitePrefetcher pf(3);
     std::uint64_t base_miss = 0;
     std::uint64_t with_miss = 0;
@@ -121,7 +89,7 @@ TEST(PythiaLite, LearnsToPrefetchStreams)
 
 TEST(PythiaLite, StaysQuietOnCacheFittingWorkload)
 {
-    Cache c(CacheParams{"c", 64 * 1024, 8, 64, 2, 8});
+    Cache c(CacheParams{"c", 64 * 1024, 8, 64, 2});
     PythiaLitePrefetcher pf(3);
     Rng rng(2);
     for (int i = 0; i < 50000; ++i) {
@@ -136,8 +104,8 @@ TEST(PythiaLite, StaysQuietOnCacheFittingWorkload)
 
 TEST(IspyLite, LearnsRecurringMissSequences)
 {
-    Cache base(CacheParams{"c", 4096, 4, 64, 2, 8});
-    Cache with(CacheParams{"c", 4096, 4, 64, 2, 8});
+    Cache base(CacheParams{"c", 4096, 4, 64, 2});
+    Cache with(CacheParams{"c", 4096, 4, 64, 2});
     IspyLitePrefetcher pf(3, 4);
     // A recurring walk over 4x the cache size.
     std::uint64_t base_miss = 0;

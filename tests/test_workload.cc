@@ -180,19 +180,6 @@ TEST(Alibaba, RpcCountAnchors)
     EXPECT_NEAR(1.0 - c.at(15.999), 0.05, 0.03);
 }
 
-TEST(Alibaba, DurationAnchors)
-{
-    AlibabaModel m(3);
-    int below_1ms = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) {
-        if (m.sampleDurationMs() < 1.0)
-            ++below_1ms;
-    }
-    // Paper: 36.7% of invocations below 1 ms.
-    EXPECT_NEAR(below_1ms / static_cast<double>(n), 0.367, 0.03);
-}
-
 TEST(Alibaba, RpsBurstAnchors)
 {
     AlibabaModel m(4);
