@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "driver/report.hh"
 #include "fault/injector.hh"
@@ -42,20 +43,31 @@ catalogNamer(const ServiceCatalog &catalog)
     };
 }
 
-/**
- * Run to @p limit with a host-time progress heartbeat on stderr.
- * The heartbeat interleaves via the kernel's event budget, so the
- * hot path stays untouched: the host clock is read once per chunk
- * of events, not per event. stdout stays byte-identical either way.
- */
-bool
-runWithProgress(EventQueue &eq, Tick limit, double progress_sec)
+/** How a run's event loop ended. */
+enum class RunEnd : std::uint8_t
 {
-    if (progress_sec <= 0.0)
-        return eq.runUntil(limit);
+    Drained,    //!< Every request finished.
+    DrainLimit, //!< The drain limit cut off what was still queued.
+    QosVerdict, //!< A QoS probe stopped once it was certain to fail.
+};
+
+/**
+ * Run to @p limit, in chunks of events when a host-time progress
+ * heartbeat (on stderr) or a @p stop predicate is asked for. Both
+ * interleave via the kernel's event budget, so the hot path stays
+ * untouched: the host clock and the predicate are read once per
+ * chunk, not per event. stdout stays byte-identical either way.
+ */
+RunEnd
+runChunked(EventQueue &eq, Tick limit, double progress_sec,
+           const std::function<bool()> &stop)
+{
+    if (progress_sec <= 0.0 && !stop)
+        return eq.runUntil(limit) ? RunEnd::Drained
+                                  : RunEnd::DrainLimit;
 
     using HostClock = std::chrono::steady_clock;
-    constexpr std::uint64_t chunkEvents = 1u << 17;
+    constexpr std::uint64_t chunkEvents = 1u << 12;
     const auto period = std::chrono::duration<double>(progress_sec);
     const HostClock::time_point start = HostClock::now();
     HostClock::time_point lastBeat = start;
@@ -64,9 +76,13 @@ runWithProgress(EventQueue &eq, Tick limit, double progress_sec)
         const EventQueue::RunResult r =
             eq.runUntil(limit, chunkEvents);
         if (r == EventQueue::RunResult::Drained)
-            return true;
+            return RunEnd::Drained;
         if (r == EventQueue::RunResult::Limited)
-            return false;
+            return RunEnd::DrainLimit;
+        if (stop && stop())
+            return RunEnd::QosVerdict;
+        if (progress_sec <= 0.0)
+            continue;
         const HostClock::time_point t = HostClock::now();
         if (t - lastBeat < period)
             continue;
@@ -348,7 +364,7 @@ collectRackStats(RackSim &rack)
  * never touches stdout. Counters sum over every package.
  */
 void
-printRunSummary(RackSim &rack, const EventQueue &eq, bool drained,
+printRunSummary(RackSim &rack, const EventQueue &eq, RunEnd end,
                 const Sampler *sampler, const RackSampler *rack_sampler,
                 const TraceSink *sink, const AttribRegistry *attrib)
 {
@@ -374,9 +390,13 @@ printRunSummary(RackSim &rack, const EventQueue &eq, bool drained,
             no_path_drops += net.messagesDropped();
         }
     }
+    const char *how = end == RunEnd::Drained ? "drained"
+                      : end == RunEnd::DrainLimit
+                          ? "HIT DRAIN LIMIT"
+                          : "stopped at the QoS verdict";
     std::fprintf(stderr, "[run-summary] %s after %llu events "
                  "(sim %.3f ms)\n",
-                 drained ? "drained" : "HIT DRAIN LIMIT",
+                 how,
                  static_cast<unsigned long long>(eq.dispatched()),
                  toMs(eq.now()));
     std::fprintf(stderr,
@@ -453,12 +473,15 @@ printRunSummary(RackSim &rack, const EventQueue &eq, bool drained,
  * packages (one package is a bare ClusterSim behind an inert rack
  * layer), applies load, trims warmup, drains, writes the requested
  * artifacts and collects metrics. @p on_done, when set, sees the
- * finished rack before it is torn down.
+ * finished rack before it is torn down. With @p qos_stop set, the
+ * run stops as soon as its QoS violation rate is certain to exceed
+ * that bound (see runQosProbe()).
  */
 RunMetrics
 runRack(const ServiceCatalog &catalog, const RackExperimentConfig &cfg,
         StatsDump *stats_out, AttribResult *attrib_out,
-        const std::function<void(RackSim &)> &on_done = {})
+        const std::function<void(RackSim &)> &on_done = {},
+        std::optional<double> qos_stop = std::nullopt)
 {
     const ExperimentConfig &base = cfg.base;
     if (base.shards != 1) {
@@ -559,6 +582,21 @@ runRack(const ServiceCatalog &catalog, const RackExperimentConfig &cfg,
     LoadGenerator gen(eq, catalog, lp, [&rack](ServiceId ep) {
         rack.submitRoot(ep);
     });
+
+    // The verdict is certain once violations and rejections, which
+    // only grow, exceed the bound over every arrival the trace will
+    // make: the observed roots that divide them at the end are some
+    // of those arrivals, and a correctly rounded divide is monotone.
+    std::function<bool()> verdict;
+    const std::uint64_t arrivals = qos_stop ? gen.countArrivals() : 0;
+    if (arrivals > 0) {
+        verdict = [&rack, arrivals, bound = *qos_stop]() {
+            return static_cast<double>(rack.qosViolations() +
+                                       rack.rejectedRoots()) /
+                       static_cast<double>(arrivals) >
+                   bound;
+        };
+    }
     gen.start();
 
     rack.setRecording(false);
@@ -567,10 +605,11 @@ runRack(const ServiceCatalog &catalog, const RackExperimentConfig &cfg,
 
     // Run through the load window, then drain in-flight requests
     // (bounded, so saturated configurations still terminate).
-    const bool drained = runWithProgress(
+    const RunEnd end = runChunked(
         eq, base.warmup + base.measure + base.drainLimit,
-        base.obs.progressSec);
-    if (!drained) {
+        base.obs.progressSec, verdict);
+    const bool drained = end == RunEnd::Drained;
+    if (end == RunEnd::DrainLimit) {
         warn("experiment '%s' hit the drain limit with %zu events "
              "and %llu requests pending",
              base.machine.name.c_str(), eq.size(),
@@ -580,7 +619,8 @@ runRack(const ServiceCatalog &catalog, const RackExperimentConfig &cfg,
 
 #if UMANY_INVARIANTS_ENABLED
     // Quiescence laws only hold after a clean drain; a truncated
-    // run legitimately leaves requests and flights in flight.
+    // or stopped run legitimately leaves requests and flights in
+    // flight.
     if (drained)
         invariants.finalCheck();
     invariants.clearAuditors();
@@ -754,12 +794,22 @@ runRack(const ServiceCatalog &catalog, const RackExperimentConfig &cfg,
     }
 
     if (base.obs.runSummary) {
-        printRunSummary(rack, eq, drained, sampler.get(),
+        printRunSummary(rack, eq, end, sampler.get(),
                         rackSampler.get(), sink.get(), attrib.get());
     }
     if (on_done)
         on_done(rack);
     return metrics;
+}
+
+/** @p cfg as a rack of one package. */
+RackExperimentConfig
+rackOfOne(const ExperimentConfig &cfg)
+{
+    RackExperimentConfig one;
+    one.base = cfg;
+    one.rack.packages = 1;
+    return one;
 }
 
 } // namespace
@@ -816,10 +866,15 @@ runExperiment(const ServiceCatalog &catalog,
               const ExperimentConfig &cfg, StatsDump *stats_out,
               AttribResult *attrib_out)
 {
-    RackExperimentConfig one;
-    one.base = cfg;
-    one.rack.packages = 1;
-    return runRack(catalog, one, stats_out, attrib_out);
+    return runRack(catalog, rackOfOne(cfg), stats_out, attrib_out);
+}
+
+RunMetrics
+runQosProbe(const ServiceCatalog &catalog, const ExperimentConfig &cfg,
+            double max_violation_rate)
+{
+    return runRack(catalog, rackOfOne(cfg), nullptr, nullptr, {},
+                   max_violation_rate);
 }
 
 std::map<ServiceId, Tick>
@@ -830,8 +885,7 @@ contentionFreeAverages(const ServiceCatalog &catalog,
     // arrival seed, no ICN contention, and nothing the base run
     // carries besides the machine and cluster (faults, thresholds
     // and artifacts would perturb or duplicate it).
-    RackExperimentConfig cfg;
-    cfg.base = base;
+    RackExperimentConfig cfg = rackOfOne(base);
     cfg.base.machine.icnContention = false;
     cfg.base.rpsPerServer = 200.0;
     cfg.base.arrivals = ArrivalKind::Poisson;
@@ -841,7 +895,6 @@ contentionFreeAverages(const ServiceCatalog &catalog,
     cfg.base.qosThresholds.clear();
     cfg.base.faults = FaultPlan();
     cfg.base.obs = ObsConfig();
-    cfg.rack.packages = 1;
 
     // The exact histogram means: RunMetrics holds rounded
     // milliseconds, and the thresholds derive from these to the tick.

@@ -146,6 +146,20 @@ RunMetrics runExperiment(const ServiceCatalog &catalog,
                          AttribResult *attrib_out = nullptr);
 
 /**
+ * One probe of the QoS search (driver/qos.hh): runExperiment() that
+ * stops as soon as the run is certain to fail the QoS bound, once
+ * (QoS violations + rejections) / (arrivals the whole trace will
+ * make) exceeds @p max_violation_rate. Both counts only grow and
+ * the observed roots are some of those arrivals, so a stopped run's
+ * own qosViolationRate() exceeds the bound too, and a run that
+ * passes is never stopped: its metrics equal runExperiment()'s. A
+ * stopped run's metrics cover only the simulated time it ran.
+ */
+RunMetrics runQosProbe(const ServiceCatalog &catalog,
+                       const ExperimentConfig &cfg,
+                       double max_violation_rate);
+
+/**
  * Contention-free per-endpoint average execution time: a low-load
  * Poisson run with ICN contention disabled, on the base config's
  * machine and cluster. The base config's load, faults, QoS

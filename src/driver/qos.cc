@@ -16,19 +16,20 @@ findMaxQosThroughput(const ServiceCatalog &catalog,
             qcfg.qosMultiplier * static_cast<double>(avg));
     }
 
-    auto violationRate = [&](double rps) {
+    auto probeAt = [&](double rps) {
         ExperimentConfig cfg = base;
         cfg.rpsPerServer = rps;
         cfg.qosThresholds = result.thresholds;
-        const RunMetrics m = runExperiment(catalog, cfg);
-        return m.qosViolationRate();
+        return cfg;
     };
 
     // Binary search over offered load (log domain).
     double lo = qcfg.loRps;
     double hi = qcfg.hiRps;
-    // If even the lower bound violates, report it directly.
-    double lo_rate = violationRate(lo);
+    // If even the lower bound violates, report it directly, so that
+    // probe runs in full: its rate is the reported one.
+    double lo_rate =
+        runExperiment(catalog, probeAt(lo)).qosViolationRate();
     if (lo_rate > qcfg.maxViolationRate) {
         result.maxRpsPerServer = lo;
         result.violationRateAtMax = lo_rate;
@@ -39,7 +40,11 @@ findMaxQosThroughput(const ServiceCatalog &catalog,
     for (std::uint32_t i = 0; i < qcfg.iterations; ++i) {
         const double mid =
             std::exp(0.5 * (std::log(lo) + std::log(hi)));
-        const double rate = violationRate(mid);
+        // Only the verdict matters, so the probe stops as soon as
+        // it is certain to fail.
+        const double rate =
+            runQosProbe(catalog, probeAt(mid), qcfg.maxViolationRate)
+                .qosViolationRate();
         if (rate <= qcfg.maxViolationRate) {
             best = mid;
             best_rate = rate;

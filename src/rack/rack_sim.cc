@@ -20,8 +20,7 @@ constexpr std::uint32_t kRootRespBytes = 2048;
 RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                  const std::vector<MachineParams> &machines,
                  const RackSimParams &p)
-    : eq_(eq), catalog_(catalog), p_(p),
-      net_(rackNetParams(p.net, p.packages))
+    : eq_(eq), catalog_(catalog), p_(p)
 {
     if (p_.packages == 0)
         fatal("a rack needs at least one package");
@@ -81,15 +80,16 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                 };
         }
     }
-    placement_ = std::make_unique<RackPlacement>(
-        catalog_, p_.packages, p_.replicas);
     alive_.assign(p_.packages, true);
     inflight_.assign(p_.packages, 0);
     lbDispatches_.assign(p_.packages, 0);
-    hopQueueTicks_.resize(p_.packages);
-    hopTransitTicks_.resize(p_.packages);
 
     if (racked) {
+        sub_ = std::make_unique<Substrate>(Substrate{
+            InterServerNet(rackNetParams(p_.net, p_.packages)),
+            RackPlacement(catalog_, p_.packages, p_.replicas),
+            Histogram(), std::vector<Histogram>(p_.packages),
+            std::vector<Histogram>(p_.packages)});
         // The LB conserves its dispatch ledger: every routed root
         // resolves exactly once, so no context (and no in-flight
         // count) survives a clean drain.
@@ -151,7 +151,7 @@ RackSim::submitRoot(ServiceId endpoint)
     }
 
     const std::vector<std::uint32_t> &placed =
-        placement_->packagesFor(endpoint);
+        sub_->placement.packagesFor(endpoint);
     const std::vector<std::uint32_t> *cands = &placed;
     if (p_.failover) {
         candScratch_.clear();
@@ -193,8 +193,8 @@ RackSim::submitRoot(ServiceId endpoint)
     ++inflight_[pkg];
     const Tick now = eq_.now();
     Tick req_queue = 0;
-    const Tick arrive =
-        net_.send(p_.packages, pkg, kRootReqBytes, now, &req_queue);
+    const Tick arrive = sub_->net.send(p_.packages, pkg, kRootReqBytes,
+                                       now, &req_queue);
     const std::uint64_t ctx = nextCtx_++;
     ctxs_.emplace(ctx,
                   PendingRoot{now, arrive, req_queue, pkg, endpoint});
@@ -254,8 +254,8 @@ RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
     // The response crosses back to the LB (rejections answer too),
     // occupying the package's egress link.
     Tick resp_queue = 0;
-    const Tick back =
-        net_.send(pkg, p_.packages, kRootRespBytes, now, &resp_queue);
+    const Tick back = sub_->net.send(pkg, p_.packages, kRootRespBytes,
+                                     now, &resp_queue);
     const Tick ingress = pending.submitAt - pending.lbArrival;
     const Tick egress = back - now;
     info.hopTicks = ingress + egress;
@@ -263,9 +263,9 @@ RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
     info.clientStart = pending.lbArrival;
     const Tick hop_queue = pending.reqQueue + resp_queue;
     if (completed && recording_) {
-        pkgHopTicks_.add(info.hopTicks);
-        hopQueueTicks_[pkg].add(hop_queue);
-        hopTransitTicks_[pkg].add(info.hopTicks - hop_queue);
+        sub_->pkgHopTicks.add(info.hopTicks);
+        sub_->hopQueueTicks[pkg].add(hop_queue);
+        sub_->hopTransitTicks[pkg].add(info.hopTicks - hop_queue);
     }
     UMANY_TRACE({
         // Stitch the response back: the arrow leaves the root's

@@ -18,8 +18,9 @@
  * in AttribComp::PkgHop).
  *
  * With one package the rack layer is inert: submits forward
- * synchronously, no context is allocated, no hop is charged, and
- * every result is byte-identical to a bare ClusterSim run.
+ * synchronously, no context is allocated, no hop is charged, no
+ * fabric, placement or hop histogram is built, and every result is
+ * byte-identical to a bare ClusterSim run.
  */
 
 #ifndef UMANY_RACK_RACK_SIM_HH
@@ -104,19 +105,20 @@ class RackSim
     {
         return lbDispatches_[pkg];
     }
-    /** Inter-package hop ticks per completed rack root. */
-    const Histogram &pkgHopTicks() const { return pkgHopTicks_; }
+    /** Inter-package hop ticks per completed rack root (racked
+     *  only, like the hop splits, net() and placement()). */
+    const Histogram &pkgHopTicks() const { return sub_->pkgHopTicks; }
     /** Queueing share of the hop (link contention at either end),
      *  per completed root dispatched to @p pkg. */
     const Histogram &hopQueueTicks(std::uint32_t pkg) const
     {
-        return hopQueueTicks_[pkg];
+        return sub_->hopQueueTicks[pkg];
     }
     /** Unloaded-transit share of the hop (overheads, serialization,
      *  propagation), per completed root dispatched to @p pkg. */
     const Histogram &hopTransitTicks(std::uint32_t pkg) const
     {
-        return hopTransitTicks_[pkg];
+        return sub_->hopTransitTicks[pkg];
     }
     /** LB's current in-flight count per package (the po2c/jsqd
      *  occupancy signal). */
@@ -150,8 +152,8 @@ class RackSim
     /** Trace pid of the rack substrate (LB + fabric tracks). */
     std::uint32_t rackTracePid() const { return rackPid_; }
     ClusterSim &package(std::uint32_t p) { return *pkgs_[p]; }
-    const InterServerNet &net() const { return net_; }
-    const RackPlacement &placement() const { return *placement_; }
+    const InterServerNet &net() const { return sub_->net; }
+    const RackPlacement &placement() const { return sub_->placement; }
     const RackSimParams &params() const { return p_; }
     const ServiceCatalog &catalog() const { return catalog_; }
 
@@ -166,13 +168,22 @@ class RackSim
         ServiceId endpoint = 0;
     };
 
+    /** What only a rack of two or more packages uses. */
+    struct Substrate
+    {
+        /** Packages are fabric nodes 0..N-1; the LB is node N. */
+        InterServerNet net;
+        RackPlacement placement;
+        Histogram pkgHopTicks;
+        std::vector<Histogram> hopQueueTicks;
+        std::vector<Histogram> hopTransitTicks;
+    };
+
     EventQueue &eq_;
     const ServiceCatalog &catalog_;
     RackSimParams p_;
     std::vector<std::unique_ptr<ClusterSim>> pkgs_;
-    /** Packages are fabric nodes 0..N-1; the LB is node N. */
-    InterServerNet net_;
-    std::unique_ptr<RackPlacement> placement_;
+    std::unique_ptr<Substrate> sub_; //!< Null when the rack is inert.
     std::unique_ptr<NicDispatchPolicy> policy_; //!< po2c/jsqd only.
     std::vector<bool> alive_;
     std::vector<std::uint64_t> inflight_;
@@ -183,9 +194,6 @@ class RackSim
     std::uint64_t rrCursor_ = 0;
     std::uint64_t lbShedRoots_ = 0;
     std::uint64_t failovers_ = 0;
-    Histogram pkgHopTicks_;
-    std::vector<Histogram> hopQueueTicks_;
-    std::vector<Histogram> hopTransitTicks_;
     bool recording_ = true;
     /** Trace pid layout (racked runs only): package p owns pids
      *  [p*pidStride_, (p+1)*pidStride_); the LB and fabric tracks

@@ -1,7 +1,5 @@
 #include "workload/loadgen.hh"
 
-#include <memory>
-
 #include "sim/logging.hh"
 
 namespace umany
@@ -32,8 +30,8 @@ LoadGenerator::LoadGenerator(EventQueue &eq,
     const double stream_rps =
         p_.rps / static_cast<double>(p_.streams);
     for (std::uint32_t s = 0; s < p_.streams; ++s) {
-        arrivalRngs_.emplace_back(
-            s == 0 ? arrival0 : streamSeed(arrival0, s));
+        Stream &st = streams_.emplace_back();
+        st.rng = Rng(s == 0 ? arrival0 : streamSeed(arrival0, s));
         if (p_.kind != ArrivalKind::Bursty)
             continue;
         // Normalize the state multipliers so the stay-weighted
@@ -49,9 +47,23 @@ LoadGenerator::LoadGenerator(EventQueue &eq,
         for (const auto &[mult, stay] : p_.burstStates)
             states.push_back(
                 Mmpp::State{stream_rps * mult / norm, stay});
-        mmpps_.push_back(std::make_unique<Mmpp>(
-            states, s == 0 ? burst0 : streamSeed(burst0, s)));
+        st.mmpp.emplace(states,
+                        s == 0 ? burst0 : streamSeed(burst0, s));
     }
+}
+
+Tick
+LoadGenerator::Stream::next(Tick from, double mean_gap_sec)
+{
+    const double gap_sec =
+        mmpp ? mmpp->nextInterarrival() : rng.expMean(mean_gap_sec);
+    return from + fromSec(gap_sec);
+}
+
+double
+LoadGenerator::meanGapSec() const
+{
+    return 1.0 / (p_.rps / static_cast<double>(p_.streams));
 }
 
 ServiceId
@@ -72,16 +84,22 @@ LoadGenerator::start()
         scheduleNext(s, p_.start);
 }
 
+std::uint64_t
+LoadGenerator::countArrivals() const
+{
+    std::uint64_t n = 0;
+    for (Stream st : streams_) {
+        for (Tick t = st.next(p_.start, meanGapSec()); t < p_.stop;
+             t = st.next(t, meanGapSec()))
+            ++n;
+    }
+    return n;
+}
+
 void
 LoadGenerator::scheduleNext(std::uint32_t stream, Tick from)
 {
-    const double stream_rps =
-        p_.rps / static_cast<double>(p_.streams);
-    const double gap_sec =
-        !mmpps_.empty()
-            ? mmpps_[stream]->nextInterarrival()
-            : arrivalRngs_[stream].expMean(1.0 / stream_rps);
-    const Tick when = from + fromSec(gap_sec);
+    const Tick when = streams_[stream].next(from, meanGapSec());
     if (when >= p_.stop)
         return;
     eq_.schedule(when, EvTag{EvSrc::LoadGen},

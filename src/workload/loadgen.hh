@@ -8,7 +8,7 @@
 #define UMANY_WORKLOAD_LOADGEN_HH
 
 #include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -67,25 +67,44 @@ class LoadGenerator
     /** Schedule the arrival stream (call once before running). */
     void start();
 
+    /**
+     * The arrivals the whole trace will make, counted by replaying
+     * copies of every stream's arrival process under start()'s
+     * stopping rule; the live streams are untouched. Call before
+     * start(): afterwards each stream has drawn its first gap.
+     */
+    std::uint64_t countArrivals() const;
+
     std::uint64_t generated() const { return generated_; }
 
   private:
+    /** One arrival process: Poisson gaps from its own RNG, or
+     *  bursty ones from its own MMPP. */
+    struct Stream
+    {
+        Rng rng;
+        std::optional<Mmpp> mmpp;
+        /** Tick of the arrival after @p from. */
+        Tick next(Tick from, double mean_gap_sec);
+    };
+
     EventQueue &eq_;
     const ServiceCatalog &catalog_;
     LoadGenParams p_;
     SubmitFn submit_;
     /** Independent streams: interarrival gaps vs endpoint picks, so
      *  extra draws in one never shift the other (golden stability).
-     *  One arrival RNG (and MMPP) per stream; the endpoint mix is
-     *  shared so the stream count never changes the mix draws. */
-    std::vector<Rng> arrivalRngs_;
+     *  The endpoint mix is shared so the stream count never changes
+     *  the mix draws. */
+    std::vector<Stream> streams_;
     Rng pickRng_;
     std::vector<ServiceId> endpoints_;
     std::vector<double> cumWeight_;
     double totalWeight_ = 0.0;
     std::uint64_t generated_ = 0;
-    std::vector<std::unique_ptr<Mmpp>> mmpps_;
 
+    /** Mean Poisson gap of one stream, in seconds. */
+    double meanGapSec() const;
     void scheduleNext(std::uint32_t stream, Tick from);
     ServiceId pickEndpoint();
 };

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -157,7 +158,129 @@ TEST(Qos, SearchFindsThresholdBetweenBounds)
     EXPECT_GE(r.maxRpsPerServer, qcfg.loRps);
     EXPECT_LE(r.maxRpsPerServer, qcfg.hiRps);
     EXPECT_EQ(r.thresholds.size(), 8u);
-    EXPECT_LE(r.violationRateAtMax, 0.25);
+    EXPECT_LE(r.violationRateAtMax, qcfg.maxViolationRate);
+}
+
+/** One probe of referenceSearch(), run in full. */
+struct FullProbe
+{
+    double rps = 0.0;
+    RunMetrics metrics;
+};
+
+/**
+ * driver/qos.cc's search with every probe run in full through
+ * runExperiment(): the reference the early-stopping search must
+ * match exactly.
+ */
+QosResult
+referenceSearch(const ServiceCatalog &cat, const ExperimentConfig &base,
+                const QosSearchConfig &q, std::vector<FullProbe> &probes)
+{
+    QosResult r;
+    for (const auto &[ep, avg] : contentionFreeAverages(cat, base)) {
+        r.thresholds[ep] = static_cast<Tick>(
+            q.qosMultiplier * static_cast<double>(avg));
+    }
+    const auto rate = [&](double rps) {
+        ExperimentConfig cfg = base;
+        cfg.rpsPerServer = rps;
+        cfg.qosThresholds = r.thresholds;
+        probes.push_back({rps, runExperiment(cat, cfg)});
+        return probes.back().metrics.qosViolationRate();
+    };
+    double lo = q.loRps;
+    double hi = q.hiRps;
+    r.maxRpsPerServer = lo;
+    r.violationRateAtMax = rate(lo);
+    if (r.violationRateAtMax > q.maxViolationRate)
+        return r;
+    for (std::uint32_t i = 0; i < q.iterations; ++i) {
+        const double mid = std::exp(0.5 * (std::log(lo) + std::log(hi)));
+        const double v = rate(mid);
+        if (v <= q.maxViolationRate) {
+            r.maxRpsPerServer = mid;
+            r.violationRateAtMax = v;
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    return r;
+}
+
+TEST(Qos, EarlyStoppedSearchMatchesFullProbes)
+{
+    // The fig18-small search shape (1 server, bursty arrivals, four
+    // halvings of [2K, 64K]) on both contrast machines and three
+    // cluster seeds; the last case fails already at loRps, so the
+    // search must report that probe's full-run rate.
+    const ServiceCatalog cat = buildSocialNetwork();
+    struct Case
+    {
+        MachineParams machine;
+        std::uint64_t clusterSeed;
+        double loRps;
+    };
+    const ClusterSimParams defaults;
+    std::vector<Case> cases;
+    for (const std::uint64_t seed :
+         {defaults.seed, std::uint64_t{7}, std::uint64_t{11}}) {
+        cases.push_back({serverClassParams(), seed, 2000.0});
+        cases.push_back({uManycoreParams(), seed, 2000.0});
+    }
+    cases.push_back({serverClassParams(), defaults.seed, 40000.0});
+
+    std::uint64_t stopped = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.machine.name + " cluster seed " +
+                     std::to_string(c.clusterSeed) + " loRps " +
+                     std::to_string(c.loRps));
+        ExperimentConfig base = tinyConfig();
+        base.machine = c.machine;
+        base.cluster.numServers = 1;
+        base.cluster.seed = c.clusterSeed;
+        base.arrivals = ArrivalKind::Bursty;
+        base.measure = fromMs(30.0);
+        base.seed = 0x5eedull;
+        QosSearchConfig q;
+        q.loRps = c.loRps;
+        q.hiRps = 64000.0;
+        q.iterations = 4;
+
+        std::vector<FullProbe> probes;
+        const QosResult want = referenceSearch(cat, base, q, probes);
+        const QosResult got = findMaxQosThroughput(cat, base, q);
+        EXPECT_EQ(got.maxRpsPerServer, want.maxRpsPerServer);
+        EXPECT_EQ(got.violationRateAtMax, want.violationRateAtMax);
+        EXPECT_EQ(got.thresholds, want.thresholds);
+        if (c.loRps > 2000.0) {
+            EXPECT_EQ(probes.size(), 1u);
+            EXPECT_GT(got.violationRateAtMax, q.maxViolationRate);
+        }
+
+        // Every probe keeps its verdict; one that passes runs in full.
+        for (const FullProbe &full : probes) {
+            ExperimentConfig cfg = base;
+            cfg.rpsPerServer = full.rps;
+            cfg.qosThresholds = want.thresholds;
+            const RunMetrics m =
+                runQosProbe(cat, cfg, q.maxViolationRate);
+            const bool fails = full.metrics.qosViolationRate() >
+                               q.maxViolationRate;
+            EXPECT_EQ(m.qosViolationRate() > q.maxViolationRate,
+                      fails)
+                << full.rps;
+            EXPECT_LE(m.observed, full.metrics.observed) << full.rps;
+            if (!fails) {
+                EXPECT_EQ(m.observed, full.metrics.observed)
+                    << full.rps;
+            }
+            if (m.observed < full.metrics.observed)
+                ++stopped;
+        }
+    }
+    EXPECT_GT(stopped, 0u);
 }
 
 TEST(Report, MeanReductionGeometric)

@@ -239,6 +239,43 @@ TEST(LoadGen, MixWeightsRespected)
     }
 }
 
+TEST(LoadGen, CountArrivalsMatchesTheRun)
+{
+    // The pre-count replays copies of the arrival streams: it equals
+    // what the run generates and leaves the run's arrivals as they
+    // would be without it.
+    const ServiceCatalog cat = buildSocialNetwork();
+    for (const ArrivalKind kind :
+         {ArrivalKind::Poisson, ArrivalKind::Bursty}) {
+        for (const std::uint32_t streams : {1u, 4u}) {
+            LoadGenParams p;
+            p.rps = 20000.0;
+            p.kind = kind;
+            p.start = fromMs(1.0);
+            p.stop = fromMs(200.0);
+            p.streams = streams;
+            const auto arrivalTicks = [&](std::uint64_t *counted) {
+                EventQueue eq;
+                std::vector<Tick> ticks;
+                LoadGenerator gen(eq, cat, p, [&](ServiceId) {
+                    ticks.push_back(eq.now());
+                });
+                if (counted != nullptr)
+                    *counted = gen.countArrivals();
+                gen.start();
+                eq.run();
+                EXPECT_EQ(gen.generated(), ticks.size());
+                return ticks;
+            };
+            std::uint64_t counted = 0;
+            const std::vector<Tick> with = arrivalTicks(&counted);
+            EXPECT_EQ(counted, with.size()) << streams;
+            EXPECT_GT(counted, 0u);
+            EXPECT_EQ(with, arrivalTicks(nullptr)) << streams;
+        }
+    }
+}
+
 TEST(LoadGen, StopsAtDeadline)
 {
     EventQueue eq;
