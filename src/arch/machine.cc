@@ -1342,9 +1342,9 @@ Machine::auditInvariants(InvariantChecker &ic, bool final) const
     for (std::size_t i = 0; i < states.size(); ++i) {
         const Tick cap = std::max(now, states[i].busyUntil);
         ic.expect(states[i].busyTime <= cap,
-                  "%s link %s: occupancy %llu exceeds bound %llu "
-                  "(utilization > 1.0)",
-                  name().c_str(), links[i].label.c_str(),
+                  "%s link %zu (%u->%u): occupancy %llu exceeds "
+                  "bound %llu (utilization > 1.0)",
+                  name().c_str(), i, links[i].from, links[i].to,
                   static_cast<unsigned long long>(
                       states[i].busyTime),
                   static_cast<unsigned long long>(cap));

@@ -44,11 +44,9 @@ FatTree::FatTree(const FatTreeParams &p) : p_(p)
         for (std::uint32_t i = 0; i < count; ++i) {
             const std::uint32_t node = start + i;
             const std::uint32_t parent = parent_start + i / 2;
-            up_[node] = addLink(node, parent, p_.hopLatency, bw,
-                                strprintf("ft.up.%u->%u", node, parent));
+            up_[node] = addLink(node, parent, p_.hopLatency, bw);
             links_[up_[node]].level = lvl == 0 ? 1 : 2;
-            down_[node] = addLink(parent, node, p_.hopLatency, bw,
-                                  strprintf("ft.dn.%u->%u", parent, node));
+            down_[node] = addLink(parent, node, p_.hopLatency, bw);
             links_[down_[node]].level = lvl == 0 ? 1 : 2;
         }
         start = parent_start;
@@ -63,12 +61,10 @@ FatTree::FatTree(const FatTreeParams &p) : p_(p)
     for (std::uint32_t ep = 0; ep < eps; ++ep) {
         const std::uint32_t leaf = ep / p_.endpointsPerLeaf;
         accessUp_[ep] = addLink(leaf, leaf, p_.hopLatency,
-                                p_.bytesPerTick,
-                                strprintf("ft.acc.up.%u", ep));
+                                p_.bytesPerTick);
         links_[accessUp_[ep]].access = true;
         accessDown_[ep] = addLink(leaf, leaf, p_.hopLatency,
-                                  p_.bytesPerTick,
-                                  strprintf("ft.acc.dn.%u", ep));
+                                  p_.bytesPerTick);
         links_[accessDown_[ep]].access = true;
     }
 
@@ -79,11 +75,9 @@ FatTree::FatTree(const FatTreeParams &p) : p_(p)
     // comparison exposes.
     const std::uint32_t root = numSwitches_ - 1;
     const double nic_bw = p_.bytesPerTick * 1.25;
-    nicUp_ = addLink(root, root, p_.hopLatency, nic_bw,
-                     "ft.nic.up");
+    nicUp_ = addLink(root, root, p_.hopLatency, nic_bw);
     links_[nicUp_].access = true;
-    nicDown_ = addLink(root, root, p_.hopLatency, nic_bw,
-                       "ft.nic.dn");
+    nicDown_ = addLink(root, root, p_.hopLatency, nic_bw);
     links_[nicDown_].access = true;
 }
 

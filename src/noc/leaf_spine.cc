@@ -19,7 +19,7 @@ LeafSpine::LeafSpine(const LeafSpineParams &p) : p_(p)
 
     const std::uint32_t num_spines = p_.podCount * p_.spinesPerPod;
 
-    // Node ids (for link labels only; routing uses the tables).
+    // Node ids (link endpoints only; routing uses the tables).
     auto leafNode = [&](std::uint32_t leaf) { return leaf; };
     auto spineNode = [&](std::uint32_t s) { return p_.numLeaves + s; };
     auto l3Node = [&](std::uint32_t k) {
@@ -40,13 +40,11 @@ LeafSpine::LeafSpine(const LeafSpineParams &p) : p_(p)
                 static_cast<std::size_t>(leaf) * p_.spinesPerPod + s;
             leafToSpine_[idx] = addLink(
                 leafNode(leaf), spineNode(spine), p_.hopLatency,
-                p_.bytesPerTick,
-                strprintf("ls.l%u->s%u", leaf, spine));
+                p_.bytesPerTick);
             links_[leafToSpine_[idx]].level = 1;
             spineToLeaf_[idx] = addLink(
                 spineNode(spine), leafNode(leaf), p_.hopLatency,
-                p_.bytesPerTick,
-                strprintf("ls.s%u->l%u", spine, leaf));
+                p_.bytesPerTick);
             links_[spineToLeaf_[idx]].level = 1;
         }
     }
@@ -61,13 +59,11 @@ LeafSpine::LeafSpine(const LeafSpineParams &p) : p_(p)
                 static_cast<std::size_t>(spine) * p_.l3Count + k;
             spineToL3_[idx] = addLink(
                 spineNode(spine), l3Node(k), p_.hopLatency,
-                p_.bytesPerTick,
-                strprintf("ls.s%u->t%u", spine, k));
+                p_.bytesPerTick);
             links_[spineToL3_[idx]].level = 2;
             l3ToSpine_[idx] = addLink(
                 l3Node(k), spineNode(spine), p_.hopLatency,
-                p_.bytesPerTick,
-                strprintf("ls.t%u->s%u", k, spine));
+                p_.bytesPerTick);
             links_[l3ToSpine_[idx]].level = 2;
         }
     }
@@ -79,12 +75,10 @@ LeafSpine::LeafSpine(const LeafSpineParams &p) : p_(p)
     for (std::uint32_t ep = 0; ep < eps; ++ep) {
         const std::uint32_t leaf = leafOf(ep);
         accessUp_[ep] = addLink(leafNode(leaf), leafNode(leaf),
-                                p_.hopLatency, p_.bytesPerTick,
-                                strprintf("ls.acc.up.%u", ep));
+                                p_.hopLatency, p_.bytesPerTick);
         links_[accessUp_[ep]].access = true;
         accessDown_[ep] = addLink(leafNode(leaf), leafNode(leaf),
-                                  p_.hopLatency, p_.bytesPerTick,
-                                  strprintf("ls.acc.dn.%u", ep));
+                                  p_.hopLatency, p_.bytesPerTick);
         links_[accessDown_[ep]].access = true;
     }
 
@@ -93,11 +87,9 @@ LeafSpine::LeafSpine(const LeafSpineParams &p) : p_(p)
     leafToNic_.assign(p_.numLeaves, invalidId);
     for (std::uint32_t leaf = 0; leaf < p_.numLeaves; ++leaf) {
         nicToLeaf_[leaf] = addLink(nic_node, leafNode(leaf),
-                                   p_.hopLatency, p_.bytesPerTick,
-                                   strprintf("ls.nic->l%u", leaf));
+                                   p_.hopLatency, p_.bytesPerTick);
         leafToNic_[leaf] = addLink(leafNode(leaf), nic_node,
-                                   p_.hopLatency, p_.bytesPerTick,
-                                   strprintf("ls.l%u->nic", leaf));
+                                   p_.hopLatency, p_.bytesPerTick);
     }
 }
 

@@ -7,7 +7,6 @@
 #define UMANY_NOC_LINK_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -36,11 +35,11 @@ struct LinkSpec
     std::uint8_t level = 0;    //!< Topology layer for attribution:
                                //!< 0 access/NIC attach, 1 first
                                //!< switch tier, 2 spine/core tier.
-    std::string label;         //!< For debug/stats output.
 
     /** Time the wire is occupied serializing @p bytes. */
     Tick serializationTime(std::uint32_t bytes) const;
 };
+static_assert(sizeof(LinkSpec) == 32, "two links per cache line");
 
 /** Mutable per-link simulation state. */
 struct LinkState

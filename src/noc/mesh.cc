@@ -14,9 +14,8 @@ Mesh2D::Mesh2D(const MeshParams &p) : p_(p)
     linkAt_.assign(static_cast<std::size_t>(n) * 4, invalidId);
 
     auto connect = [&](std::uint32_t from, std::uint32_t to, Dir d) {
-        linkAt_[from * 4 + d] = addLink(
-            from, to, p_.hopLatency, p_.bytesPerTick,
-            strprintf("mesh.%u->%u", from, to));
+        linkAt_[from * 4 + d] =
+            addLink(from, to, p_.hopLatency, p_.bytesPerTick);
         links_[linkAt_[from * 4 + d]].level = 1;
     };
 
@@ -40,20 +39,16 @@ Mesh2D::Mesh2D(const MeshParams &p) : p_(p)
     for (std::uint32_t ep = 0; ep < eps; ++ep) {
         const std::uint32_t node = ep / p_.endpointsPerNode;
         accessUp_[ep] = addLink(node, node, p_.hopLatency,
-                                p_.bytesPerTick,
-                                strprintf("mesh.acc.up.%u", ep));
+                                p_.bytesPerTick);
         links_[accessUp_[ep]].access = true;
         accessDown_[ep] = addLink(node, node, p_.hopLatency,
-                                  p_.bytesPerTick,
-                                  strprintf("mesh.acc.dn.%u", ep));
+                                  p_.bytesPerTick);
         links_[accessDown_[ep]].access = true;
     }
 
-    nicUp_ = addLink(0, 0, p_.hopLatency, p_.bytesPerTick,
-                     "mesh.nic.up");
+    nicUp_ = addLink(0, 0, p_.hopLatency, p_.bytesPerTick);
     links_[nicUp_].access = true;
-    nicDown_ = addLink(0, 0, p_.hopLatency, p_.bytesPerTick,
-                       "mesh.nic.dn");
+    nicDown_ = addLink(0, 0, p_.hopLatency, p_.bytesPerTick);
     links_[nicDown_].access = true;
 }
 

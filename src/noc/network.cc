@@ -69,6 +69,8 @@ Network::send(const Message &msg, DeliverFn &&on_deliver,
     flight->queued = 0;
     flight->epoch = epoch_;
     flight->retx = 0;
+    flight->ser = 0;
+    flight->serWidth = 0.0;
     flight->levelTicks = {};
     flight->deliver = std::move(on_deliver);
     const bool routed =
@@ -125,7 +127,11 @@ Network::hop(Flight *flight)
     // Wormhole-style pipelining: the head waits for the link, the
     // link is occupied for the serialization time, and only the
     // last hop additionally waits for the tail to arrive.
-    const Tick ser = spec.serializationTime(flight->msg.bytes);
+    if (spec.bytesPerTick != flight->serWidth) {
+        flight->ser = spec.serializationTime(flight->msg.bytes);
+        flight->serWidth = spec.bytesPerTick;
+    }
+    const Tick ser = flight->ser;
     Tick depart = curTick();
     if (contention_) {
         depart = std::max(depart, st.busyUntil);

@@ -179,6 +179,14 @@ class Network : public SimObject
         Tick queued = 0;
         std::uint64_t epoch = 0;   //!< Stats window it was sent in.
         std::uint32_t retx = 0;    //!< Retransmissions so far.
+        /**
+         * The message's serialization time on a link of width
+         * serWidth. A message keeps its size, so hops recompute it
+         * only where the width changes (fat-tree upper links, NIC
+         * links). Width 0 serializes in 0 ticks, the reset value.
+         */
+        Tick ser = 0;
+        double serWidth = 0.0;
         /** Per-level hop time, filled only while attribution runs. */
         std::array<Tick, kIcnLevels> levelTicks{};
         DeliverFn deliver;

@@ -9,15 +9,14 @@ namespace umany
 
 LinkId
 Topology::addLink(NodeId from, NodeId to, Tick latency,
-                  double bytes_per_tick, std::string label)
+                  double bytes_per_tick)
 {
     LinkSpec spec;
     spec.from = from;
     spec.to = to;
     spec.latency = latency;
     spec.bytesPerTick = bytes_per_tick;
-    spec.label = std::move(label);
-    links_.push_back(std::move(spec));
+    links_.push_back(spec);
     return static_cast<LinkId>(links_.size() - 1);
 }
 

@@ -94,7 +94,7 @@ class Topology
 
   protected:
     LinkId addLink(NodeId from, NodeId to, Tick latency,
-                   double bytes_per_tick, std::string label);
+                   double bytes_per_tick);
 
     std::vector<LinkSpec> links_;
 };

@@ -1,5 +1,8 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+#include <memory>
+
 #include "obs/simprof.hh"
 #include "sim/logging.hh"
 
@@ -10,7 +13,24 @@ EventQueue::EventQueue()
 {
     slab_.reserve(initialCapacity);
     free_.reserve(initialCapacity);
-    heap_.reserve(initialCapacity);
+    grow();
+}
+
+void
+EventQueue::grow()
+{
+    // Whole 64-byte lines with the root at offset 3: node i's
+    // children 4i+1..4i+4 then start on a line boundary.
+    const std::size_t lines = capacity_ == 0
+                                  ? initialCapacity / 4
+                                  : 2 * ((capacity_ + 3) / 4);
+    Node *fresh = static_cast<Node *>(
+        ::operator new(lines * 64, std::align_val_t{64}));
+    std::uninitialized_fill_n(fresh, lines * 4, sentinel);
+    std::copy_n(heap_, count_, fresh + 3);
+    lines_.reset(fresh);
+    heap_ = fresh + 3;
+    capacity_ = lines * 4 - 3;
 }
 
 void
@@ -21,28 +41,36 @@ EventQueue::schedule(Tick when, EvTag tag, Callback cb)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(_now));
     }
+    if (nextSeq_ == maxScheduled)
+        panic("more than 2^40 events scheduled");
     if (prof_ != nullptr)
         prof_->onSchedule(tag, when - _now);
     std::uint32_t slot;
     if (!free_.empty()) {
         slot = free_.back();
         free_.pop_back();
-        slab_[slot] = std::move(cb);
+        slab_[slot].cb = std::move(cb);
+        slab_[slot].src = tag.src;
     } else {
+        if (slab_.size() == maxPending)
+            panic("more than 2^24 events pending");
         slot = static_cast<std::uint32_t>(slab_.size());
-        slab_.push_back(std::move(cb));
+        slab_.push_back(Slot{std::move(cb), tag.src});
     }
-    const Node n{when, nextSeq_++, slot, tag.src};
+    const Node n{when, (nextSeq_++ << slotBits) | slot};
     if (held_) {
         // The running event's node is still the root: replace it.
         // Successors are often due soon, and then the sift stops
         // at once.
         held_ = false;
-        heap_.front() = n;
-        siftDown(0);
+        replaceRoot(n);
     } else {
-        heap_.push_back(n);
-        siftUp(heap_.size() - 1);
+        // Keep three sentinels past the last node, so the last
+        // parent's four children are all readable.
+        if (count_ + 4 > capacity_)
+            grow();
+        heap_[count_] = n;
+        siftUp(count_++);
     }
 }
 
@@ -51,7 +79,7 @@ EventQueue::siftUp(std::size_t i)
 {
     const Node n = heap_[i];
     while (i > 0) {
-        const std::size_t parent = (i - 1) / arity;
+        const std::size_t parent = (i - 1) / 4;
         if (!before(n, heap_[parent]))
             break;
         heap_[i] = heap_[parent];
@@ -60,30 +88,13 @@ EventQueue::siftUp(std::size_t i)
     heap_[i] = n;
 }
 
-std::size_t
-EventQueue::minChild(std::size_t i, std::size_t count) const
-{
-    const std::size_t first = i * arity + 1;
-    if (first >= count)
-        return count;
-    const std::size_t last =
-        first + arity < count ? first + arity : count;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-        if (before(heap_[c], heap_[best]))
-            best = c;
-    }
-    return best;
-}
-
 void
-EventQueue::siftDown(std::size_t i)
+EventQueue::replaceRoot(Node n)
 {
-    const std::size_t count = heap_.size();
-    const Node n = heap_[i];
-    for (;;) {
-        const std::size_t c = minChild(i, count);
-        if (c == count || !before(heap_[c], n))
+    std::size_t i = 0;
+    for (std::size_t first; (first = 4 * i + 1) < count_;) {
+        const std::size_t c = minChild(first);
+        if (!before(heap_[c], n))
             break;
         heap_[i] = heap_[c];
         i = c;
@@ -97,14 +108,16 @@ EventQueue::popRoot()
     // Bottom-up: the last node is usually a far-future event, so sink
     // the hole along the earliest children without comparing against
     // it, then refill the hole with the last node and sift that up.
-    const Node last = heap_.back();
-    heap_.pop_back();
-    const std::size_t count = heap_.size();
-    if (count == 0)
+    const Node last = heap_[--count_];
+    heap_[count_] = sentinel;
+    if (count_ == 0)
         return;
     std::size_t i = 0;
-    for (std::size_t c; (c = minChild(i, count)) < count; i = c)
+    for (std::size_t first; (first = 4 * i + 1) < count_;) {
+        const std::size_t c = minChild(first);
         heap_[i] = heap_[c];
+        i = c;
+    }
     heap_[i] = last;
     siftUp(i);
 }
@@ -114,14 +127,17 @@ EventQueue::step()
 {
     if (held_)
         panic("EventQueue::step() called from inside a handler");
-    if (heap_.empty())
+    if (count_ == 0)
         return false;
-    const Node top = heap_.front();
+    const Node top = heap_[0];
+    const auto slot =
+        static_cast<std::uint32_t>(top.key & (maxPending - 1));
     // Move the callback out before invoking: the callback may
     // schedule new events and grow the slab, and its slot must be
     // reusable by those insertions.
-    Callback cb = std::move(slab_[top.slot]);
-    free_.push_back(top.slot);
+    const EvSrc src = slab_[slot].src;
+    Callback cb = std::move(slab_[slot].cb);
+    free_.push_back(slot);
     _now = top.when;
     ++dispatched_;
     held_ = true;
@@ -132,7 +148,7 @@ EventQueue::step()
         popRoot();
     }
     if (prof_ != nullptr)
-        prof_->onExecuted(EvTag{top.src}, heap_.size(), _now);
+        prof_->onExecuted(EvTag{src}, count_, _now);
     return true;
 }
 
@@ -146,8 +162,8 @@ EventQueue::run()
 bool
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().when > limit) {
+    while (count_ > 0) {
+        if (heap_[0].when > limit) {
             _now = limit;
             return false;
         }
@@ -159,8 +175,8 @@ EventQueue::runUntil(Tick limit)
 EventQueue::RunResult
 EventQueue::runUntil(Tick limit, std::uint64_t max_events)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().when > limit) {
+    while (count_ > 0) {
+        if (heap_[0].when > limit) {
             _now = limit;
             return RunResult::Limited;
         }

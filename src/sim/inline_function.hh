@@ -11,6 +11,15 @@
  * over-aligned callables fall back to the heap (counted, see
  * heapAllocations()) rather than failing to compile.
  *
+ * Moving is the kernel's other per-event cost: every event's callback
+ * moves into the slab, out of it and is dropped. A target that is
+ * trivially copyable and trivially destructible and a whole number
+ * of words long (a lambda capturing pointers and ids by value, the
+ * common shape) relocates by copying its sizeof bytes, which the ops
+ * table records, and needs no destroy call. A heap target relocates
+ * by copying its pointer. Only other targets pay an indirect call
+ * per move and drop.
+ *
  * Differences from std::function, by design:
  *  - move-only (no copy; move-only captures like std::unique_ptr are
  *    accepted),
@@ -25,6 +34,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -79,12 +89,8 @@ class InlineFunction<R(Args...), InlineSize>
     }
 
     InlineFunction(InlineFunction &&other) noexcept
-        : ops_(other.ops_)
     {
-        if (ops_ != nullptr) {
-            ops_->relocate(&other, this);
-            other.ops_ = nullptr;
-        }
+        takeFrom(other);
     }
 
     InlineFunction &
@@ -92,11 +98,7 @@ class InlineFunction<R(Args...), InlineSize>
     {
         if (this != &other) {
             destroy();
-            ops_ = other.ops_;
-            if (ops_ != nullptr) {
-                ops_->relocate(&other, this);
-                other.ops_ = nullptr;
-            }
+            takeFrom(other);
         }
         return *this;
     }
@@ -131,10 +133,35 @@ class InlineFunction<R(Args...), InlineSize>
     struct Ops
     {
         R (*invoke)(InlineFunction *, Args &&...);
-        /** Move the target from src into dst (dst is raw). */
+        /**
+         * Move the target from src into dst (dst is raw) and end
+         * src's; null when copying the first @c size bytes of the
+         * storage relocates it.
+         */
         void (*relocate)(InlineFunction *src, InlineFunction *dst);
+        /** Destroy the target; null when it needs no destruction. */
         void (*destroy)(InlineFunction *);
+        /** Bytes to copy, whole words, when @c relocate is null. */
+        std::size_t size;
     };
+
+    static constexpr std::size_t wordBytes = sizeof(std::uint64_t);
+
+    /** Bytes of a D's state: none for an empty class. */
+    template <typename D>
+    static constexpr std::size_t stateBytes =
+        std::is_empty_v<D> ? 0 : sizeof(D);
+
+    /**
+     * Can a D held in the buffer move by copying its bytes? The copy
+     * goes a word at a time, inline, so it also needs whole words;
+     * every capture holding a pointer has them.
+     */
+    template <typename D>
+    static constexpr bool trivialTarget =
+        std::is_trivially_copyable_v<D> &&
+        std::is_trivially_destructible_v<D> &&
+        stateBytes<D> % wordBytes == 0;
 
     template <typename D>
     D *
@@ -146,11 +173,30 @@ class InlineFunction<R(Args...), InlineSize>
     template <typename D> static const Ops inlineOps;
     template <typename D> static const Ops heapOps;
 
+    /** Move @p other's target into this raw object. */
+    void
+    takeFrom(InlineFunction &other) noexcept
+    {
+        ops_ = other.ops_;
+        if (ops_ == nullptr)
+            return;
+        if (ops_->relocate == nullptr) {
+            // A loop of word copies stays inline; a memcpy call of a
+            // runtime size does not.
+            for (std::size_t i = 0; i < ops_->size; i += wordBytes)
+                std::memcpy(buf_ + i, other.buf_ + i, wordBytes);
+        } else {
+            ops_->relocate(&other, this);
+        }
+        other.ops_ = nullptr;
+    }
+
     void
     destroy()
     {
         if (ops_ != nullptr) {
-            ops_->destroy(this);
+            if (ops_->destroy != nullptr)
+                ops_->destroy(this);
             ops_ = nullptr;
         }
     }
@@ -172,16 +218,23 @@ const typename InlineFunction<R(Args...), InlineSize>::Ops
             return (*self->template inlineTarget<D>())(
                 std::forward<Args>(args)...);
         },
-        // relocate: move-construct into dst's buffer, destroy src.
-        [](InlineFunction *src, InlineFunction *dst) {
-            D *s = src->template inlineTarget<D>();
-            ::new (static_cast<void *>(dst->buf_)) D(std::move(*s));
-            s->~D();
-        },
+        // relocate: move-construct into dst's buffer, destroy src;
+        // a trivial target's bytes are copied instead.
+        trivialTarget<D>
+            ? nullptr
+            : +[](InlineFunction *src, InlineFunction *dst) {
+                  D *s = src->template inlineTarget<D>();
+                  ::new (static_cast<void *>(dst->buf_))
+                      D(std::move(*s));
+                  s->~D();
+              },
         // destroy
-        [](InlineFunction *self) {
-            self->template inlineTarget<D>()->~D();
-        },
+        std::is_trivially_destructible_v<D>
+            ? nullptr
+            : +[](InlineFunction *self) {
+                  self->template inlineTarget<D>()->~D();
+              },
+        stateBytes<D>,
 };
 
 template <typename R, typename... Args, std::size_t InlineSize>
@@ -193,13 +246,12 @@ const typename InlineFunction<R(Args...), InlineSize>::Ops
                 std::forward<Args>(args)...);
         },
         // relocate: ownership of the heap target moves with the
-        // pointer.
-        [](InlineFunction *src, InlineFunction *dst) {
-            dst->ptr_ = src->ptr_;
-        },
+        // pointer, copied as bytes.
+        nullptr,
         [](InlineFunction *self) {
             delete static_cast<D *>(self->ptr_);
         },
+        sizeof(void *),
 };
 
 } // namespace umany

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "sim/inline_function.hh"
 
@@ -168,6 +169,86 @@ TEST(InlineFunction, AssignmentDestroysPreviousTarget)
     f = Fn{[second]() {}};
     EXPECT_EQ(first.use_count(), 1);
     EXPECT_EQ(second.use_count(), 2);
+}
+
+TEST(InlineFunction, TrivialTargetKeepsEveryByteAcrossMoves)
+{
+    // A trivially copyable target relocates by copying its own size;
+    // a 64-byte one must arrive whole after moves and assignments.
+    std::array<std::uint8_t, 64> bytes{};
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 3 + 1);
+    int sum = 0;
+    auto lambda = [bytes, &sum]() mutable {
+        for (const std::uint8_t b : bytes)
+            sum += b;
+    };
+    static_assert(!Fn::fitsInline<decltype(lambda)>());
+    auto fits = [bytes]() {
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            ASSERT_EQ(bytes[i], static_cast<std::uint8_t>(i * 3 + 1));
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(fits)>);
+    static_assert(Fn::fitsInline<decltype(fits)>());
+
+    Fn a = fits;
+    Fn b = std::move(a);
+    Fn c;
+    c = std::move(b);
+    Fn d = std::move(c);
+    EXPECT_FALSE(static_cast<bool>(c));
+    d();
+
+    // An empty target has no bytes to copy, and moves too.
+    IntFn e = [](int x) { return x + 1; };
+    IntFn f = std::move(e);
+    EXPECT_EQ(f(41), 42);
+
+    // Over the buffer: heap storage, whose pointer moves as bytes.
+    Fn g = std::move(lambda);
+    Fn h = std::move(g);
+    h();
+    EXPECT_EQ(sum, 64 * 63 / 2 * 3 + 64);
+}
+
+TEST(InlineFunction, CountedTargetRunsAndDiesOnceAcrossMoves)
+{
+    // A capture with a destructor still moves through its own move
+    // constructor: across moves, an assignment over it and the final
+    // drop, exactly one live copy is destroyed, once.
+    struct Counted
+    {
+        int *runs;
+        int *drops;
+        bool live = true;
+
+        Counted(int *r, int *d) : runs(r), drops(d) {}
+        Counted(Counted &&o) noexcept : runs(o.runs), drops(o.drops)
+        {
+            o.live = false;
+        }
+        ~Counted()
+        {
+            if (live)
+                ++*drops;
+        }
+        void operator()() { ++*runs; }
+    };
+    static_assert(Fn::fitsInline<Counted>());
+    int runs = 0;
+    int drops = 0;
+    {
+        Fn a = Counted{&runs, &drops};
+        Fn b = std::move(a);
+        Fn c;
+        c = std::move(b);
+        EXPECT_EQ(drops, 0);
+        c();
+        c = Fn{[]() {}}; // drops the counted target
+        EXPECT_EQ(drops, 1);
+    }
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(drops, 1);
 }
 
 TEST(InlineFunction, WrapsStdFunctionLvalue)

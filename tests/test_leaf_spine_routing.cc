@@ -11,6 +11,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "noc/leaf_spine.hh"
 #include "sim/rng.hh"
@@ -93,6 +94,16 @@ TEST(LeafSpineRouting, ExternalEndpointReachesEveryLeafDirectly)
     }
 }
 
+/** "link <id> (<from>-><to>)": names a link in a failure message. */
+std::string
+linkName(const Topology &topo, LinkId id)
+{
+    const LinkSpec &spec = topo.links()[id];
+    return "link " + std::to_string(id) + " (" +
+           std::to_string(spec.from) + "->" + std::to_string(spec.to) +
+           ")";
+}
+
 /** Frequencies of the link chosen at @p position of the path. */
 std::map<LinkId, std::uint64_t>
 linkChoiceCounts(const LeafSpine &topo, EndpointId src,
@@ -120,7 +131,7 @@ TEST(LeafSpineRouting, IntraPodSpineChoiceBalanced)
     for (const auto &[link, n] : counts) {
         const double share = static_cast<double>(n) / kSamples;
         EXPECT_NEAR(share, 0.25, 0.01)
-            << topo.links()[link].label;
+            << linkName(topo, link);
     }
 }
 
@@ -136,7 +147,7 @@ TEST(LeafSpineRouting, CrossPodSpineAndL3ChoicesBalanced)
     ASSERT_EQ(upSpine.size(), 4u);
     for (const auto &[link, n] : upSpine) {
         EXPECT_NEAR(static_cast<double>(n) / kSamples, 0.25, 0.01)
-            << topo.links()[link].label;
+            << linkName(topo, link);
     }
 
     // Position 2 is spine->L3: 4 spines x 8 L3s = 32 equally likely
@@ -147,7 +158,7 @@ TEST(LeafSpineRouting, CrossPodSpineAndL3ChoicesBalanced)
     for (const auto &[link, n] : acrossL3) {
         EXPECT_NEAR(static_cast<double>(n) / kSamples, 1.0 / 32.0,
                     0.01)
-            << topo.links()[link].label;
+            << linkName(topo, link);
     }
 
     const auto downSpine =

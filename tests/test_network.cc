@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -330,6 +333,140 @@ TEST(NetworkPool, DroppedSendsReleaseFlightsAndCallbacks)
               sent_at + net.idealLatency(0, 31 * 5, 256));
     EXPECT_EQ(net.messagesDelivered(), 40u);
     EXPECT_EQ(net.messagesDropped(), 120u);
+}
+
+/** One message of the reference-model test. */
+struct ModelMsg
+{
+    Message msg;
+    Tick sendAt = 0;
+};
+
+/**
+ * Random sizes between random distinct endpoints (the external one
+ * included), sent at random ticks of the first 20 us, so links queue.
+ */
+std::vector<ModelMsg>
+randomTraffic(const Topology &topo, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto eps = static_cast<std::uint64_t>(topo.endpointCount());
+    std::vector<ModelMsg> out(600);
+    for (ModelMsg &m : out) {
+        m.msg.src = static_cast<EndpointId>(rng.below(eps));
+        do {
+            m.msg.dst = static_cast<EndpointId>(rng.below(eps));
+        } while (m.msg.dst == m.msg.src);
+        m.msg.bytes = 1 + static_cast<std::uint32_t>(rng.below(4096));
+        m.sendAt = rng.below(20 * tickPerUs);
+    }
+    return out;
+}
+
+/**
+ * The network's contention model restated over the topology's links:
+ * per hop, depart = max(t, busyUntil), busyUntil = depart + ser,
+ * t = depart + latency, plus ser on the last hop, with ser from
+ * LinkSpec::serializationTime of that hop's own link. Events run in
+ * (tick, scheduling order), as in the kernel, and every send and hop
+ * schedules one event, so ties resolve the same way.
+ */
+std::vector<Tick>
+modelArrivals(const Topology &topo, const std::vector<ModelMsg> &msgs)
+{
+    // Fat trees and meshes route deterministically, so any RNG gives
+    // the path the network takes.
+    std::vector<std::vector<LinkId>> paths(msgs.size());
+    Rng unused(0);
+    for (std::size_t i = 0; i < msgs.size(); ++i)
+        topo.route(msgs[i].msg.src, msgs[i].msg.dst, unused, paths[i]);
+    std::vector<Tick> busy_until(topo.links().size(), 0);
+    std::vector<Tick> arrival(msgs.size(), 0);
+    // (tick, seq, message, hops taken).
+    std::set<std::tuple<Tick, std::uint64_t, std::size_t, std::size_t>>
+        pending;
+    std::uint64_t seq = 0;
+    for (std::size_t i = 0; i < msgs.size(); ++i)
+        pending.emplace(msgs[i].sendAt, seq++, i, 0);
+    while (!pending.empty()) {
+        const auto [t, s, i, hop] = *pending.begin();
+        pending.erase(pending.begin());
+        const std::vector<LinkId> &path = paths[i];
+        if (hop == path.size()) {
+            arrival[i] = t;
+            continue;
+        }
+        const LinkSpec &link = topo.links()[path[hop]];
+        const Tick ser = link.serializationTime(msgs[i].msg.bytes);
+        const Tick depart = std::max(t, busy_until[path[hop]]);
+        busy_until[path[hop]] = depart + ser;
+        const bool last = hop + 1 == path.size();
+        pending.emplace(depart + link.latency + (last ? ser : 0), seq++,
+                        i, hop + 1);
+    }
+    return arrival;
+}
+
+/** The same messages through Network, each sent by its own event. */
+std::vector<Tick>
+networkArrivals(const Topology &topo, const std::vector<ModelMsg> &msgs)
+{
+    EventQueue eq;
+    Network net("net", eq, topo, 1);
+    std::vector<Tick> arrival(msgs.size(), 0);
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+        eq.schedule(msgs[i].sendAt, [&, i]() {
+            net.send(msgs[i].msg, [&, i]() { arrival[i] = eq.now(); });
+        });
+    }
+    eq.run();
+    EXPECT_EQ(net.messagesDelivered(), msgs.size());
+    return arrival;
+}
+
+void
+expectMatchesModel(const Topology &topo)
+{
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        const std::vector<ModelMsg> msgs = randomTraffic(topo, seed);
+        const std::vector<Tick> want = modelArrivals(topo, msgs);
+        const std::vector<Tick> got = networkArrivals(topo, msgs);
+        ASSERT_EQ(got.size(), want.size());
+        std::size_t queued = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i], want[i])
+                << topo.name() << " seed " << seed << " message " << i
+                << " (" << msgs[i].msg.src << "->" << msgs[i].msg.dst
+                << ", " << msgs[i].msg.bytes << " B)";
+            const Tick ideal = topo.contentionFreeLatency(
+                msgs[i].msg.src, msgs[i].msg.dst, msgs[i].msg.bytes);
+            queued += got[i] > msgs[i].sendAt + ideal;
+        }
+        // Contention must actually shape the arrivals.
+        EXPECT_GT(queued, msgs.size() / 10) << topo.name();
+    }
+}
+
+TEST(NetworkModel, FatTreeArrivalsMatchReferenceModel)
+{
+    // Default fat tree: upper links fattened 2x per level and a
+    // 1.25x NIC port at the root, so most paths cross several link
+    // widths and a flight must not carry one link's serialization
+    // time onto the next.
+    const FatTree topo{FatTreeParams{}};
+    std::set<double> widths;
+    for (const LinkSpec &link : topo.links())
+        widths.insert(link.bytesPerTick);
+    ASSERT_EQ(widths.size(), 6u); // 5 tree levels + the NIC port
+    expectMatchesModel(topo);
+}
+
+TEST(NetworkModel, MeshArrivalsMatchReferenceModel)
+{
+    MeshParams mp;
+    mp.endpointsPerNode = 2;
+    const Mesh2D topo(mp);
+    expectMatchesModel(topo);
 }
 
 TEST(NetworkPool, ExperimentMessageCallbacksStayInline)
