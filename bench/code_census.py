@@ -74,18 +74,20 @@ RUNS += [["bench/fig_resilience", "kind=" + k, "max_failures=2"] + SMALL
 RUNS += [["bench/fig_policy_race", "rps_list=6000", "arrivals=" + a,
           "hetero=" + h] + SMALL
          for a, h in (("poisson", "0.25"), ("bursty", "0"))]
+# Past round-robin's knee, where steals land.
+RUNS += [["bench/fig_policy_race", "servers=1", "rps_list=300000",
+          "policies=rr,steal", "warmup_ms=2", "measure_ms=20", "jobs=2"]]
 RUNS += [["bench/fig_rack", "packages_list=1,2", "packages=2",
           "fail_list=1", "net=" + n, "arrivals=" + a, "het=" + h,
           "progress=on"] + SMALL + OBS
          for n, a, h in (("rdma", "bursty", "0"), ("nanopu", "poisson", "1"))]
 RUNS += [["examples/quickstart", "servers=1", "rps=2000", "machine=" + m,
           "app=" + app, "arrivals=" + a, "dispatch=" + d, "attrib=1",
-          "dump=1", "progress=1", "slo_slice_us=20"] + OBS
+          "dump=1", "progress=1"] + OBS
          for m, app, a, d in (("um", "social", "bursty", "rr"),
                               ("um", "media", "poisson", "po2c"),
                               ("um", "social", "bursty", "jsqd"),
                               ("um", "social", "bursty", "steal"),
-                              ("um", "social", "bursty", "slo"),
                               ("so", "social", "poisson", "rr"),
                               ("sc", "media", "bursty", "rr"))]
 RUNS += [["examples/synthetic_loadgen", "machine=" + m, "dist=" + d,

@@ -61,15 +61,13 @@ struct BenchArgs
     unsigned jobs = 0;
     /**
      * NIC dispatch / intra-machine scheduling policy:
-     *   --dispatch=rr|po2c|jsqd|steal|slo   (default rr: today's
+     *   --dispatch=rr|po2c|jsqd|steal   (default rr: today's
      *                        round-robin, byte-identical goldens)
      *   --dispatch-probes=D        JSQ(d) probe count (jsqd only;
      *                              po2c pins d=2)
      *   --dispatch-probe-cycles=C  NIC cost per depth probe
      *   --steal-attempts=N         sibling RQs probed per idle pass
      *   --steal-cycles=C           cost per steal probe, hit or miss
-     *   --slo-budget-us=B          per-root latency budget (slo)
-     *   --slo-slice-us=S           preemption slice (slo; 0 = off)
      */
     DispatchPolicyParams dispatch;
 
@@ -141,6 +139,35 @@ evalConfig(const MachineParams &machine, double rps_per_server,
     cfg.obs = args.obs;
     cfg.machine.dispatch = args.dispatch;
     return cfg;
+}
+
+/** Parse "rr,po2c,..." into dispatch kinds; fatal on junk. */
+inline std::vector<DispatchKind>
+parsePolicies(const std::string &s)
+{
+    std::vector<DispatchKind> out;
+    std::size_t pos = 0;
+    while (pos < s.size()) {
+        std::size_t comma = s.find(',', pos);
+        if (comma == std::string::npos)
+            comma = s.size();
+        out.push_back(
+            parseDispatchKind(s.substr(pos, comma - pos)));
+        pos = comma + 1;
+    }
+    if (out.empty())
+        fatal("no policies given");
+    return out;
+}
+
+/** Client-observed latency histogram merged across endpoints. */
+inline Histogram
+mergedLatency(const TailProfiler &prof)
+{
+    Histogram h;
+    for (const auto &[ep, profile] : prof.endpoints())
+        h.merge(profile.latencyTicks);
+    return h;
 }
 
 /** Print a banner shared by all benches. */

@@ -48,41 +48,12 @@ parseList(const std::string &s)
     return out;
 }
 
-/** Parse "rr,po2c,..." into dispatch kinds. */
-std::vector<DispatchKind>
-parsePolicies(const std::string &s)
-{
-    std::vector<DispatchKind> out;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        out.push_back(
-            parseDispatchKind(s.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-    if (out.empty())
-        fatal("no policies given");
-    return out;
-}
-
 struct PointResult
 {
     RunMetrics metrics;
     AttribResult attrib;
     StatsDump stats;
 };
-
-/** Merged end-to-end latency histogram across endpoints. */
-Histogram
-mergedLatency(const TailProfiler &prof)
-{
-    Histogram h;
-    for (const auto &[ep, profile] : prof.endpoints())
-        h.merge(profile.latencyTicks);
-    return h;
-}
 
 /**
  * P99.9 of one critical-path component across every root: the
@@ -111,7 +82,7 @@ main(int argc, char **argv)
     const std::vector<double> loads = parseList(
         args.cfg.getString("rps_list", "6000,12000,18000"));
     const std::vector<DispatchKind> policies = parsePolicies(
-        args.cfg.getString("policies", "rr,po2c,jsqd,steal,slo"));
+        args.cfg.getString("policies", "rr,po2c,jsqd,steal"));
     const std::string arriv =
         args.cfg.getString("arrivals", "poisson");
     if (arriv != "poisson" && arriv != "bursty")
@@ -161,7 +132,7 @@ main(int argc, char **argv)
 
     Table t({"rps/server", "policy", "P99.9 (ms)",
              "p99.9 rq_wait (us)", "p99.9 blocked (us)",
-             "ledger mismatches", "steals", "preempts"});
+             "ledger mismatches", "steals"});
     for (std::size_t i = 0; i < npoints; ++i) {
         const PointResult &r = runs[i];
         const DispatchKind kind = policies[i % policies.size()];
@@ -183,10 +154,6 @@ main(int argc, char **argv)
                   Table::num(rr ? 0.0
                                 : r.stats.value(
                                       "cluster.sched.steals"),
-                             0),
-                  Table::num(rr ? 0.0
-                                : r.stats.value(
-                                      "cluster.sched.preemptions"),
                              0)});
     }
     std::printf("%s\n", t.format().c_str());

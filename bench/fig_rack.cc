@@ -72,25 +72,6 @@ parseIntList(const std::string &s)
     return out;
 }
 
-/** Parse "rr,po2c,..." into dispatch kinds. */
-std::vector<DispatchKind>
-parsePolicies(const std::string &s)
-{
-    std::vector<DispatchKind> out;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        out.push_back(
-            parseDispatchKind(s.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-    if (out.empty())
-        fatal("no policies given");
-    return out;
-}
-
 /** One sweep point. */
 struct Spec
 {
@@ -107,16 +88,6 @@ struct PointResult
     StatsDump stats;
     AttribResult attrib;
 };
-
-/** Merged client-observed latency across endpoints. */
-Histogram
-mergedLatency(const TailProfiler &prof)
-{
-    Histogram h;
-    for (const auto &[ep, profile] : prof.endpoints())
-        h.merge(profile.latencyTicks);
-    return h;
-}
 
 /** A rack.* stat when racked, 0 for the inert one-package rack. */
 double

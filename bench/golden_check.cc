@@ -207,11 +207,11 @@ figTailAttribSmall()
 }
 
 /**
- * Policy race at small scale: all five dispatch policies on the
+ * Policy race at small scale: all four dispatch policies on the
  * uManycore machine at one load, attribution on. Pins the policy
- * mechanics end to end — probing NIC dispatch, hardware work
- * stealing, SLO slicing/preemption — plus the gated cluster.sched.*
- * counters and the ledger's tail split under each policy.
+ * mechanics end to end — probing NIC dispatch and hardware work
+ * stealing — plus the gated cluster.sched.* counters and the
+ * ledger's tail split under each policy.
  */
 std::string
 figPolicyRaceSmall()
@@ -219,8 +219,7 @@ figPolicyRaceSmall()
     const ServiceCatalog catalog = buildSocialNetwork();
     std::string out = "# fig_policy_race-small: dispatch policies "
                       "(uManycore, 1 server, 8K RPS, attrib on)\n";
-    for (const char *policy :
-         {"rr", "po2c", "jsqd", "steal", "slo"}) {
+    for (const char *policy : {"rr", "po2c", "jsqd", "steal"}) {
         ExperimentConfig cfg =
             smallConfig(uManycoreParams(), 8000.0, 1);
         cfg.machine.dispatch.kind = parseDispatchKind(policy);

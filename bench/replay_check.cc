@@ -10,7 +10,7 @@
  * Usage:
  *   replay_check [machine=uManycore|ScaleOut|ServerClass]
  *                [rps=N] [servers=N] [measure_ms=N] [seed=N]
- *                [dispatch=rr|po2c|jsqd|steal|slo]
+ *                [dispatch=rr|po2c|jsqd|steal]
  */
 
 #include <cstdio>

@@ -6,7 +6,7 @@
  *
  * Usage: quickstart [rps=10000] [servers=4] [seed=1] [machine=um]
  *                   [app=social|media] [arrivals=bursty|poisson]
- *                   [--dispatch=rr|po2c|jsqd|steal|slo]
+ *                   [--dispatch=rr|po2c|jsqd|steal]
  *                   [--trace-out=run.trace.json]
  *                   [--stats-json=run.json]
  *                   [--sample-interval-us=50]

@@ -37,12 +37,11 @@ Machine::Machine(std::string name, EventQueue &eq,
     buildTopology();
     buildStructure();
 
-    // Dispatch-policy setup. Steal and Slo drive the hardware RQ
-    // (entry adoption, policy-directed Dequeue); on software-
-    // scheduled machines they degrade to round-robin, loudly.
+    // Dispatch-policy setup. Steal drives the hardware RQ (entry
+    // adoption); on software-scheduled machines it degrades to
+    // round-robin, loudly.
     dkind_ = p_.dispatch.kind;
-    if ((dkind_ == DispatchKind::Steal ||
-         dkind_ == DispatchKind::Slo) &&
+    if (dkind_ == DispatchKind::Steal &&
         p_.sched != MachineParams::Sched::HwRq) {
         warn("machine '%s': --dispatch=%s needs the hardware RQ; "
              "falling back to rr",
@@ -53,8 +52,6 @@ Machine::Machine(std::string name, EventQueue &eq,
         nicPolicy_ = std::make_unique<NicDispatchPolicy>(
             p_.dispatch, streamSeed(seed_, rngstream::dispatch));
     }
-    sloBudget_ = fromUs(p_.dispatch.sloBudgetUs);
-    sloSlice_ = fromUs(p_.dispatch.sloSliceUs);
 
     UMANY_INVARIANT({
         InvariantChecker *ic = InvariantChecker::active();
@@ -325,24 +322,6 @@ Machine::pickDispatch(ServiceId service, Tick &probe_delay)
         cyc(static_cast<double>(p_.dispatch.probeCycles) *
             static_cast<double>(nicPolicy_->lastProbes().size()));
     return v;
-}
-
-std::int64_t
-Machine::laxityOf(const ServiceRequest &req) const
-{
-    const double scale =
-        p_.perfFactor * villagePerfFactor(req.village);
-    const auto work = static_cast<Tick>(
-        static_cast<double>(req.remainingWork()) * scale);
-    return static_cast<std::int64_t>(req.createdAt + sloBudget_) -
-           static_cast<std::int64_t>(curTick()) -
-           static_cast<std::int64_t>(work);
-}
-
-ReadyList::KeyFn
-Machine::laxityKey() const
-{
-    return [this](const ServiceRequest &r) { return laxityOf(r); };
 }
 
 void
@@ -625,11 +604,8 @@ Machine::corePickup(CoreId core, bool allow_steal)
     Tick done = curTick();
     ServiceRequest *req = nullptr;
     if (p_.sched == MachineParams::Sched::HwRq) {
-        HwRq &rq = *villages_[villageOfCore(core)].rq;
-        if (dkind_ == DispatchKind::Slo)
-            req = rq.dequeueBy(curTick(), done, laxityKey());
-        else
-            req = rq.dequeue(curTick(), done);
+        req = villages_[villageOfCore(core)].rq->dequeue(curTick(),
+                                                         done);
         if (req == nullptr && allow_steal &&
             dkind_ == DispatchKind::Steal) {
             req = trySteal(core, done);
@@ -737,9 +713,8 @@ Machine::startRun(CoreId core, ServiceRequest *req, Tick ready_at,
 
     Tick t = ready_at;
     // Context restore (Dequeue uploads state in hardware; software
-    // schedulers run the restore path). Preempted requests carry
-    // saved context even inside their first segment.
-    if (req->segIndex > 0 || req->preemptions > 0) {
+    // schedulers run the restore path).
+    if (req->segIndex > 0) {
         t += p_.cs.restoreTime(p_.core.ghz);
         req->contextSwitches += 1;
         cores_[core].countSwitch();
@@ -794,21 +769,8 @@ Machine::runSegment(CoreId core, ServiceRequest *req)
     // with a zero-length window and charge nothing.)
     UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
         *req, net_->lastDelivery(), curTick()));
-    // Slo runs the segment in slices so a more urgent arrival can
-    // preempt at the next boundary; everything else executes the
-    // whole (remaining) segment. segProgress is 0 outside Slo, so
-    // the round-robin arithmetic below is untouched.
-    const Tick seg_ref = req->behavior().segments[req->segIndex];
-    Tick slice_ref = seg_ref > req->segProgress
-                         ? seg_ref - req->segProgress
-                         : 0;
-    bool sliced = false;
-    if (dkind_ == DispatchKind::Slo && sloSlice_ > 0 &&
-        slice_ref > sloSlice_) {
-        slice_ref = sloSlice_;
-        sliced = true;
-    }
-    double work = static_cast<double>(slice_ref);
+    double work =
+        static_cast<double>(req->behavior().segments[req->segIndex]);
     work *= p_.perfFactor * villagePerfFactor(req->village);
     const Tick base = static_cast<Tick>(work);
     if (coherence_.scope() == CoherenceScope::Global)
@@ -864,52 +826,8 @@ Machine::runSegment(CoreId core, ServiceRequest *req)
     }
 
     eventq().scheduleAfter(dur, EvTag{EvSrc::CoreRun},
-                           [this, core, req, sliced, slice_ref]() {
-        if (sliced) {
-            sliceDone(core, req, slice_ref);
-        } else {
-            req->segProgress = 0;
-            segmentDone(core, req);
-        }
-    });
-}
-
-void
-Machine::sliceDone(CoreId core, ServiceRequest *req, Tick slice_ref)
-{
-    req->segProgress += slice_ref;
-    req->lastCore = core;
-    // Least-laxity preemption: yield only to a strictly more urgent
-    // ready entry, so two equal requests never ping-pong.
-    std::int64_t best = 0;
-    const HwRq &rq = *villages_[req->village].rq;
-    if (!rq.minReadyKey(laxityKey(), best) ||
-        best >= laxityOf(*req)) {
-        runSegment(core, req);
-        return;
-    }
-
-    ++preempts_;
-    req->preemptions += 1;
-    req->contextSwitches += 1;
-    cores_[core].countSwitch();
-    UMANY_TRACE({
-        traceReqTransition(curTick(), *req, ReqState::Ready,
-                           tracePidBase_);
-        TraceSink::active()->instant(curTick(), tracePid(),
-                                     traceCoreTrack(core),
-                                     "cs.preempt", req->id());
-    });
-    const Tick t = curTick() + p_.cs.saveTime(p_.core.ghz);
-    UMANY_ATTRIB(AttribRegistry::active()->charge(
-        *req, AttribComp::CtxSwitch, t));
-    req->state = ReqState::Ready;
-    req->enqueuedAt = t;
-    UMANY_INVARIANT(InvariantChecker::active()->onPreempt(*req));
-    eventq().schedule(t, EvTag{EvSrc::CtxSwitch},
-                      [this, core, req]() {
-        villages_[req->village].rq->makeReady(req->seq, req);
-        releaseCore(core);
+                           [this, core, req]() {
+        segmentDone(core, req);
     });
 }
 
@@ -1033,23 +951,14 @@ Machine::finishRequest(ServiceRequest *req, VillageId v)
         }
     }
 
-    if (req->parent == nullptr) {
-        // Root: response to the external client.
-        sendIcn(villageEndpoint(v), topo_->externalEndpoint(),
-                req->respBytes, MsgClass::Response, [this, req]() {
-                    UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
-                        *req, net_->lastDelivery(), curTick()));
-                    Tick t =
-                        topNic_->egress(curTick(), req->respBytes);
-                    t += rnic_->sendPenalty() + topNic_->extLatency();
-                    UMANY_ATTRIB(AttribRegistry::active()->charge(
-                        *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
-                                      [this, req]() {
-                        onRootComplete(req);
-                    });
-                });
-    } else if (req->parent->server == self_) {
+    sendResponse(req, v, /*rnic_penalty=*/true);
+}
+
+void
+Machine::sendResponse(ServiceRequest *req, VillageId v,
+                      bool rnic_penalty)
+{
+    if (req->parent != nullptr && req->parent->server == self_) {
         // Local parent: response over the ICN.
         ServiceRequest *parent = req->parent;
         sendIcn(villageEndpoint(v), villageEndpoint(parent->village),
@@ -1057,23 +966,29 @@ Machine::finishRequest(ServiceRequest *req, VillageId v)
                 [this, parent, req]() {
                     deliverChildResponse(parent, req);
                 });
-    } else {
-        // Remote parent: response leaves the package.
-        sendIcn(villageEndpoint(v), topo_->externalEndpoint(),
-                req->respBytes, MsgClass::Response, [this, req]() {
-                    UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
-                        *req, net_->lastDelivery(), curTick()));
-                    Tick t =
-                        topNic_->egress(curTick(), req->respBytes);
-                    t += rnic_->sendPenalty();
-                    UMANY_ATTRIB(AttribRegistry::active()->charge(
-                        *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
-                                      [this, req]() {
-                        onRemoteChildFinished(req);
-                    });
-                });
+        return;
     }
+    // Root (to the external client) or remote parent: the response
+    // leaves the package.
+    sendIcn(villageEndpoint(v), topo_->externalEndpoint(),
+            req->respBytes, MsgClass::Response,
+            [this, req, rnic_penalty]() {
+                UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
+                    *req, net_->lastDelivery(), curTick()));
+                Tick t = topNic_->egress(curTick(), req->respBytes);
+                if (rnic_penalty)
+                    t += rnic_->sendPenalty();
+                if (req->parent == nullptr)
+                    t += topNic_->extLatency();
+                UMANY_ATTRIB(AttribRegistry::active()->charge(
+                    *req, AttribComp::NicDispatch, t));
+                eventq().schedule(t, EvTag{EvSrc::RpcNic}, [this, req]() {
+                    if (req->parent == nullptr)
+                        onRootComplete(req);
+                    else
+                        onRemoteChildFinished(req);
+                });
+            });
 }
 
 void
@@ -1184,44 +1099,9 @@ Machine::rejectRequest(ServiceRequest *req)
     req->finishedAt = curTick();
     UMANY_INVARIANT(InvariantChecker::active()->onReject(*req));
     // An error response still flows back so callers never hang; it
-    // is small and cheap.
+    // is small and cheap, and skips the R-NIC transport penalty.
     req->respBytes = 128;
-    const VillageId v = req->village;
-    if (req->parent == nullptr) {
-        sendIcn(villageEndpoint(v), topo_->externalEndpoint(), 128,
-                MsgClass::Response, [this, req]() {
-                    UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
-                        *req, net_->lastDelivery(), curTick()));
-                    const Tick t =
-                        topNic_->egress(curTick(), 128) +
-                        topNic_->extLatency();
-                    UMANY_ATTRIB(AttribRegistry::active()->charge(
-                        *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
-                                      [this, req]() {
-                        onRootComplete(req);
-                    });
-                });
-    } else if (req->parent->server == self_) {
-        ServiceRequest *parent = req->parent;
-        sendIcn(villageEndpoint(v), villageEndpoint(parent->village),
-                128, MsgClass::Response, [this, parent, req]() {
-                    deliverChildResponse(parent, req);
-                });
-    } else {
-        sendIcn(villageEndpoint(v), topo_->externalEndpoint(), 128,
-                MsgClass::Response, [this, req]() {
-                    UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
-                        *req, net_->lastDelivery(), curTick()));
-                    const Tick t = topNic_->egress(curTick(), 128);
-                    UMANY_ATTRIB(AttribRegistry::active()->charge(
-                        *req, AttribComp::NicDispatch, t));
-                    eventq().schedule(t, EvTag{EvSrc::RpcNic},
-                                      [this, req]() {
-                        onRemoteChildFinished(req);
-                    });
-                });
-    }
+    sendResponse(req, req->village, /*rnic_penalty=*/false);
 }
 
 void

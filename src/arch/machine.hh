@@ -83,10 +83,10 @@ struct MachineParams
      *  instance locality. */
     bool randomQueueAssignment = false;
     /**
-     * Dispatch/scheduling policy (--dispatch=rr|po2c|jsqd|steal|slo).
+     * Dispatch/scheduling policy (--dispatch=rr|po2c|jsqd|steal).
      * RoundRobin is the paper's hardware dispatch and byte-identical
-     * to the seed; steal/slo need the hardware RQ and fall back to
-     * rr (with a warning) on software-scheduled machines.
+     * to the seed; steal needs the hardware RQ and falls back to rr
+     * (with a warning) on software-scheduled machines.
      */
     DispatchPolicyParams dispatch;
     /** @} */
@@ -271,8 +271,6 @@ class Machine : public SimObject
     {
         return nicPolicy_ ? nicPolicy_->probesIssued() : 0;
     }
-    /** Slice preemptions executed (Slo policy). */
-    std::uint64_t schedPreemptions() const { return preempts_; }
     /** @} */
     double avgCoreUtilization() const;
     /** Utilization of the software dispatcher core (0 when absent). */
@@ -315,12 +313,9 @@ class Machine : public SimObject
     std::unique_ptr<NicDispatchPolicy> nicPolicy_;
     /** Per-village deterministic steal cursor over siblings. */
     std::vector<std::uint32_t> stealCursor_;
-    Tick sloBudget_ = 0;
-    Tick sloSlice_ = 0;
     std::uint64_t directDispatches_ = 0;
     std::uint64_t steals_ = 0;
     std::uint64_t stealProbes_ = 0;
-    std::uint64_t preempts_ = 0;
     /** @} */
 
     /** @name Construction helpers @{ */
@@ -346,10 +341,16 @@ class Machine : public SimObject
     void startRun(CoreId core, ServiceRequest *req, Tick ready_at,
                   bool stolen = false);
     void runSegment(CoreId core, ServiceRequest *req);
-    void sliceDone(CoreId core, ServiceRequest *req, Tick slice_ref);
     void segmentDone(CoreId core, ServiceRequest *req);
     void issueCallGroup(ServiceRequest *req, VillageId v);
     void finishRequest(ServiceRequest *req, VillageId v);
+    /**
+     * Route @p req's response from village @p v to its client, local
+     * parent or remote parent. @p rnic_penalty adds the R-NIC
+     * transport penalty (and its RNG draw) on the way out.
+     */
+    void sendResponse(ServiceRequest *req, VillageId v,
+                      bool rnic_penalty);
     void deliverChildResponse(ServiceRequest *parent,
                               ServiceRequest *child);
     void responseProcessed(ServiceRequest *parent);
@@ -373,9 +374,6 @@ class Machine : public SimObject
      * the Corey schedule::steal() design).
      */
     ServiceRequest *trySteal(CoreId core, Tick &done);
-    /** Slack of @p req against its SLO budget (Slo policy). */
-    std::int64_t laxityOf(const ServiceRequest &req) const;
-    ReadyList::KeyFn laxityKey() const;
     /** @} */
 
     /** @name Degraded-mode dispatch @{ */

@@ -373,7 +373,6 @@ printRunSummary(RackSim &rack, const EventQueue &eq, RunEnd end,
     std::uint64_t retries = 0;
     std::uint64_t stale = 0;
     std::uint64_t reroutes = 0;
-    std::uint64_t corrupt_retx = 0;
     std::uint64_t degraded = 0;
     std::uint64_t no_path_drops = 0;
     for (std::uint32_t p = 0; p < rack.numPackages(); ++p) {
@@ -385,7 +384,6 @@ printRunSummary(RackSim &rack, const EventQueue &eq, RunEnd end,
         for (ServerId s = 0; s < pkg.numServers(); ++s) {
             const Network &net = pkg.machine(s).network();
             reroutes += net.reroutes();
-            corrupt_retx += net.corruptRetransmits();
             degraded += net.degradedDeliveries();
             no_path_drops += net.messagesDropped();
         }
@@ -427,11 +425,9 @@ printRunSummary(RackSim &rack, const EventQueue &eq, RunEnd end,
                      static_cast<unsigned long long>(stale));
     }
     std::fprintf(stderr,
-                 "[run-summary] net: %llu reroutes, %llu corrupt "
-                 "retransmits, %llu degraded deliveries, %llu "
-                 "no-path drops\n",
+                 "[run-summary] net: %llu reroutes, %llu degraded "
+                 "deliveries, %llu no-path drops\n",
                  static_cast<unsigned long long>(reroutes),
-                 static_cast<unsigned long long>(corrupt_retx),
                  static_cast<unsigned long long>(degraded),
                  static_cast<unsigned long long>(no_path_drops));
     if (sink != nullptr) {

@@ -44,7 +44,7 @@ randomLinkFailures(const Topology &topo, std::uint32_t count,
     FaultPlan plan;
     for (const LinkId id :
          pickDistinct(fabricLinks(topo), count, rng)) {
-        plan.add({at, FaultKind::LinkDown, server, id, 0.0});
+        plan.add({at, FaultKind::LinkDown, server, id});
     }
     return plan;
 }
@@ -58,7 +58,7 @@ randomNodeFailures(const Topology &topo, std::uint32_t count,
     for (const NodeId id :
          pickDistinct(fabricNodes(topo), count, rng)) {
         plan.add({at, FaultKind::NodeDown, server,
-                  static_cast<std::uint32_t>(id), 0.0});
+                  static_cast<std::uint32_t>(id)});
     }
     return plan;
 }
@@ -73,7 +73,7 @@ randomVillageFailures(std::uint32_t numVillages, std::uint32_t count,
     Rng rng(streamSeed(seed, rngstream::fault));
     FaultPlan plan;
     for (const std::uint32_t v : pickDistinct(pool, count, rng))
-        plan.add({at, FaultKind::VillageDown, server, v, 0.0});
+        plan.add({at, FaultKind::VillageDown, server, v});
     return plan;
 }
 
@@ -87,7 +87,7 @@ randomPackageFailures(std::uint32_t numPackages, std::uint32_t count,
     Rng rng(streamSeed(seed, rngstream::fault));
     FaultPlan plan;
     for (const std::uint32_t p : pickDistinct(pool, count, rng))
-        plan.add({at, FaultKind::PackageDown, invalidId, p, 0.0});
+        plan.add({at, FaultKind::PackageDown, invalidId, p});
     return plan;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * FaultPlan: a deterministic schedule of fault events applied to the
- * cluster at fixed ticks — link down/up, NH (switch) down, village
- * down/up, and message-corruption probability changes.
+ * cluster at fixed ticks — link down/up, NH (switch) down, and
+ * village down/up (plus package down/up for rack plans).
  *
  * Plans are data, not behavior: they can be built programmatically
  * or generated from a seeded RNG stream (the builders below). The
@@ -32,7 +32,6 @@ enum class FaultKind : std::uint8_t
     NodeDown,    //!< target = NH NodeId; kills every incident link
     VillageDown, //!< target = VillageId; dispatch avoids it
     VillageUp,   //!< target = VillageId
-    Corruption,  //!< prob = per-delivery corruption probability
     PackageDown, //!< target = rack package id (rack plans only)
     PackageUp,   //!< target = rack package id (rack plans only)
 };
@@ -46,8 +45,6 @@ struct FaultEvent
     ServerId server = invalidId;
     /** Link / node / village id (kind-dependent; see FaultKind). */
     std::uint32_t target = 0;
-    /** Corruption probability (FaultKind::Corruption only). */
-    double prob = 0.0;
 };
 
 /** An ordered (by injector, not by construction) set of events. */

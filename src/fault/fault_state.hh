@@ -1,8 +1,8 @@
 /**
  * @file
- * Live/dead state of a topology's links plus message-corruption
- * probability: the single structure the injector mutates and that
- * routing (Topology::route) and the Network consult.
+ * Live/dead state of a topology's links: the single structure the
+ * injector mutates and that routing (Topology::route) and the
+ * Network consult.
  *
  * The state is intentionally passive — it holds no event logic. The
  * FaultInjector applies FaultPlan events to it at the scheduled
@@ -29,7 +29,7 @@ class Topology;
 class FaultState
 {
   public:
-    /** All links start up; corruption starts at zero. */
+    /** All links start up. */
     explicit FaultState(const Topology &topo);
 
     /** Whether link @p id is currently up. */
@@ -48,26 +48,11 @@ class FaultState
     /** Whether any link is down. */
     bool anyLinkDown() const { return deadLinks_ != 0; }
 
-    /** Per-message corruption probability on final delivery. */
-    double corruptProb() const { return corruptProb_; }
-    void setCorruptProb(double p) { corruptProb_ = p; }
-
-    /**
-     * Whether the state currently perturbs anything — false means
-     * routing and delivery behave exactly as with no FaultState.
-     */
-    bool
-    active() const
-    {
-        return deadLinks_ != 0 || corruptProb_ > 0.0;
-    }
-
     std::size_t linkCount() const { return up_.size(); }
 
   private:
     std::vector<std::uint8_t> up_;
     std::size_t deadLinks_ = 0;
-    double corruptProb_ = 0.0;
 };
 
 /**

@@ -27,8 +27,6 @@ traceName(FaultKind kind)
         return "fault.village_down";
       case FaultKind::VillageUp:
         return "fault.village_up";
-      case FaultKind::Corruption:
-        return "fault.corrupt";
       case FaultKind::PackageDown:
         return "fault.package_down";
       case FaultKind::PackageUp:
@@ -60,16 +58,13 @@ applyToMachine(Machine &m, ServerId, const FaultEvent &e)
       case FaultKind::VillageUp:
         m.setVillageUp(e.target, true);
         break;
-      case FaultKind::Corruption:
-        m.armFaults().setCorruptProb(e.prob);
-        break;
       case FaultKind::PackageDown:
       case FaultKind::PackageUp:
         fatal("package faults target a RackSim, not a ClusterSim");
     }
     UMANY_TRACE(TraceSink::active()->instant(
         e.at, m.tracePid(), traceIcnTrack, traceName(e.kind),
-        e.target, e.prob));
+        e.target));
 }
 
 /** Whether @p kind needs a FaultState (vs ServiceMap liveness). */

@@ -30,8 +30,7 @@ msgClassName(MsgClass cls)
 
 Network::Network(std::string name, EventQueue &eq, const Topology &topo,
                  std::uint64_t seed)
-    : SimObject(std::move(name), eq), topo_(topo), rng_(seed),
-      faultRng_(streamSeed(seed, rngstream::fault))
+    : SimObject(std::move(name), eq), topo_(topo), rng_(seed)
 {
     state_.assign(topo_.links().size(), LinkState{});
 }
@@ -156,19 +155,10 @@ Network::hop(Flight *flight)
     // The pool owns the flight; the event only points at it.
     const EvTag tag{last_hop ? EvSrc::NocDeliver : EvSrc::NocHop};
     eventq().schedule(arrival, tag, [this, flight]() {
-        if (flight->hop >= flight->path.size()) {
-            if (faults_ != nullptr &&
-                faults_->corruptProb() > 0.0 &&
-                faultRng_.chance(faults_->corruptProb())) {
-                if (flight->epoch == epoch_)
-                    ++corruptRetx_;
-                retransmit(flight);
-                return;
-            }
+        if (flight->hop >= flight->path.size())
             finishDelivery(flight);
-        } else {
+        else
             hop(flight);
-        }
     });
 }
 
@@ -305,7 +295,6 @@ Network::clearStats()
     delivered_ = 0;
     droppedNoPath_ = 0;
     reroutes_ = 0;
-    corruptRetx_ = 0;
     degraded_ = 0;
     latency_ = Histogram();
     queueDelay_ = Histogram();

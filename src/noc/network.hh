@@ -54,9 +54,9 @@ class Network : public SimObject
 
     /**
      * Attach fault state (null detaches). Routing then excludes
-     * dead links, mid-flight link deaths retransmit from the source,
-     * and deliveries may be corrupted-and-retransmitted. A null or
-     * all-up state costs one pointer/flag test per hop.
+     * dead links and mid-flight link deaths retransmit from the
+     * source. A null or all-up state costs one pointer/flag test per
+     * hop.
      */
     void setFaultState(const FaultState *faults) { faults_ = faults; }
     const FaultState *faultState() const { return faults_; }
@@ -93,8 +93,6 @@ class Network : public SimObject
     std::uint64_t messagesDropped() const { return droppedNoPath_; }
     /** Source retransmissions after a mid-flight link death. */
     std::uint64_t reroutes() const { return reroutes_; }
-    /** Retransmissions caused by delivery corruption. */
-    std::uint64_t corruptRetransmits() const { return corruptRetx_; }
     /** Deliveries that fell back to the degraded fixed penalty. */
     std::uint64_t degradedDeliveries() const { return degraded_; }
     const Histogram &latencyHist() const { return latency_; }
@@ -141,7 +139,6 @@ class Network : public SimObject
   private:
     const Topology &topo_;
     Rng rng_;
-    Rng faultRng_;  //!< Corruption draws; untouched when disabled.
     bool contention_ = true;
     std::uint32_t tracePid_ = 0;
     const FaultState *faults_ = nullptr;
@@ -151,7 +148,6 @@ class Network : public SimObject
     std::uint64_t delivered_ = 0;
     std::uint64_t droppedNoPath_ = 0;
     std::uint64_t reroutes_ = 0;
-    std::uint64_t corruptRetx_ = 0;
     std::uint64_t degraded_ = 0;
     Histogram latency_;     //!< End-to-end message latency (ticks).
     Histogram queueDelay_;  //!< Total per-message wait-for-link time.

@@ -40,7 +40,6 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
             streamSeed(p_.cluster.seed, rngstream::replica));
         break;
       case DispatchKind::Steal:
-      case DispatchKind::Slo:
         fatal("replica policy must be rr, po2c, or jsqd (got %s)",
               dispatchKindName(p_.replica.kind));
     }

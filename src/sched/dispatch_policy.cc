@@ -19,10 +19,8 @@ parseDispatchKind(const std::string &name)
         return DispatchKind::Jsqd;
     if (name == "steal")
         return DispatchKind::Steal;
-    if (name == "slo")
-        return DispatchKind::Slo;
     fatal("unknown dispatch policy '%s' "
-          "(expected rr|po2c|jsqd|steal|slo)",
+          "(expected rr|po2c|jsqd|steal)",
           name.c_str());
 }
 
@@ -38,8 +36,6 @@ dispatchKindName(DispatchKind kind)
         return "jsqd";
       case DispatchKind::Steal:
         return "steal";
-      case DispatchKind::Slo:
-        return "slo";
     }
     return "?";
 }
@@ -69,12 +65,6 @@ dispatchParamsFromConfig(const Config &cfg,
     p.stealAttempts = static_cast<std::uint32_t>(att);
     p.stealCycles = static_cast<Cycles>(cfg.getInt(
         "steal_cycles", static_cast<std::int64_t>(p.stealCycles)));
-    p.sloBudgetUs = cfg.getDouble("slo_budget_us", p.sloBudgetUs);
-    if (p.sloBudgetUs <= 0.0)
-        fatal("slo_budget_us must be > 0 (got %g)", p.sloBudgetUs);
-    p.sloSliceUs = cfg.getDouble("slo_slice_us", p.sloSliceUs);
-    if (p.sloSliceUs < 0.0)
-        fatal("slo_slice_us must be >= 0 (got %g)", p.sloSliceUs);
     return p;
 }
 

@@ -13,8 +13,6 @@
  *  - Steal: keep round-robin placement but let idle cores steal the
  *    youngest ready entry from sibling villages' RQs (the sv6/Corey
  *    per-CPU schedule::steal() design).
- *  - Slo: least-laxity-first dequeue with slice-based preemption
- *    through the hardware ContextSwitch.
  *
  * Probe/steal costs are explicit so the policies pay for the state
  * they inspect; the NIC-side probing logic lives here so it can be
@@ -44,10 +42,9 @@ enum class DispatchKind : std::uint8_t
     Po2c,       //!< Power-of-two-choices at the NIC.
     Jsqd,       //!< JSQ(d): probe d candidates, join the shortest.
     Steal,      //!< RR placement + idle-core work stealing.
-    Slo,        //!< Least-laxity dequeue + slice preemption.
 };
 
-/** Parse "rr|po2c|jsqd|steal|slo" (fatal on anything else). */
+/** Parse "rr|po2c|jsqd|steal" (fatal on anything else). */
 DispatchKind parseDispatchKind(const std::string &name);
 
 /** Flag spelling of a policy kind. */
@@ -65,10 +62,6 @@ struct DispatchPolicyParams
     std::uint32_t stealAttempts = 2;
     /** Cost per steal probe, charged on failure too. */
     Cycles stealCycles = 64;
-    /** Root-to-response latency budget driving laxity (Slo). */
-    double sloBudgetUs = 500.0;
-    /** Preemption-check granularity on core (Slo). */
-    double sloSliceUs = 25.0;
 
     /** Effective probe count (Po2c pins d = 2). */
     std::uint32_t
@@ -88,10 +81,9 @@ struct DispatchPolicyParams
 
 /**
  * Parse the policy flags shared by every bench and example:
- * `dispatch=rr|po2c|jsqd|steal|slo`, `dispatch_probes=`,
- * `dispatch_probe_cycles=`, `steal_attempts=`, `steal_cycles=`,
- * `slo_budget_us=`, `slo_slice_us=`. Unset keys keep @p defaults;
- * out-of-range values are fatal.
+ * `dispatch=rr|po2c|jsqd|steal`, `dispatch_probes=`,
+ * `dispatch_probe_cycles=`, `steal_attempts=`, `steal_cycles=`.
+ * Unset keys keep @p defaults; out-of-range values are fatal.
  */
 DispatchPolicyParams
 dispatchParamsFromConfig(const Config &cfg,

@@ -47,14 +47,6 @@ HwRq::dequeue(Tick now, Tick &done)
 }
 
 ServiceRequest *
-HwRq::dequeueBy(Tick now, Tick &done, const ReadyList::KeyFn &key)
-{
-    done = now + cyclesToTicks(
-                     static_cast<double>(p_.dequeueCycles), p_.ghz);
-    return ready_.popMinBy(key);
-}
-
-ServiceRequest *
 HwRq::stealYoungest(ServiceRequest *&promoted)
 {
     promoted = nullptr;

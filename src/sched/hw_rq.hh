@@ -72,20 +72,6 @@ class HwRq
     ServiceRequest *dequeue(Tick now, Tick &done);
 
     /**
-     * Policy-directed Dequeue: pop the ready entry minimizing
-     * @p key (ties FCFS). Same instruction cost as dequeue().
-     */
-    ServiceRequest *dequeueBy(Tick now, Tick &done,
-                              const ReadyList::KeyFn &key);
-
-    /** Smallest @p key among ready entries; false when none. */
-    bool
-    minReadyKey(const ReadyList::KeyFn &key, std::int64_t &out) const
-    {
-        return ready_.minKey(key, out);
-    }
-
-    /**
      * A sibling village's idle core steals this RQ's youngest ready
      * entry (Corey schedule::steal() semantics: the youngest is the
      * coldest). Frees the entry here; if the NIC buffer holds a

@@ -36,42 +36,6 @@ ReadyList::popBack()
     return req;
 }
 
-ServiceRequest *
-ReadyList::popMinBy(const KeyFn &key)
-{
-    if (entries_.empty())
-        return nullptr;
-    auto best = entries_.begin();
-    std::int64_t best_key = key(*best->second);
-    for (auto it = std::next(best); it != entries_.end(); ++it) {
-        const std::int64_t k = key(*it->second);
-        // Strict <: ties keep the earliest seq (FCFS among equals).
-        if (k < best_key) {
-            best = it;
-            best_key = k;
-        }
-    }
-    ServiceRequest *req = best->second;
-    entries_.erase(best);
-    return req;
-}
-
-bool
-ReadyList::minKey(const KeyFn &key, std::int64_t &out) const
-{
-    if (entries_.empty())
-        return false;
-    bool first = true;
-    for (const auto &[seq, req] : entries_) {
-        const std::int64_t k = key(*req);
-        if (first || k < out) {
-            out = k;
-            first = false;
-        }
-    }
-    return true;
-}
-
 SwQueueSystem::SwQueueSystem(const SwQueueParams &p, std::uint64_t seed)
     : p_(p), rng_(seed)
 {

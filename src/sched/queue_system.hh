@@ -12,7 +12,6 @@
 #define UMANY_SCHED_QUEUE_SYSTEM_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -38,18 +37,6 @@ class ReadyList
 
     /** Pop the youngest entry (steal semantics; nullptr when empty). */
     ServiceRequest *popBack();
-
-    /** Order over requests for policy-directed dequeue. */
-    using KeyFn = std::function<std::int64_t(const ServiceRequest &)>;
-
-    /**
-     * Pop the entry minimizing @p key (ties break toward the oldest
-     * seq); nullptr when empty. O(n) scan — RQs are small (64).
-     */
-    ServiceRequest *popMinBy(const KeyFn &key);
-
-    /** Smallest @p key over the list (no pop); false when empty. */
-    bool minKey(const KeyFn &key, std::int64_t &out) const;
 
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }

@@ -105,27 +105,11 @@ class ServiceRequest
 
     /** @name Execution progress @{ */
     std::size_t segIndex = 0;
-    /** Reference ticks of the current segment already executed
-     *  (non-zero only between preemptions; Slo policy). */
-    Tick segProgress = 0;
-    /** Times the request was preempted mid-segment (Slo policy). */
-    std::uint32_t preemptions = 0;
     ReqState state = ReqState::Created;
     const Behavior &behavior() const { return behavior_; }
     bool lastSegment() const
     {
         return segIndex + 1 >= behavior_.segments.size();
-    }
-
-    /** Reference ticks of compute still ahead of the request. */
-    Tick
-    remainingWork() const
-    {
-        Tick total = 0;
-        for (std::size_t i = segIndex;
-             i < behavior_.segments.size(); ++i)
-            total += behavior_.segments[i];
-        return total > segProgress ? total - segProgress : 0;
     }
     /** @} */
 

@@ -147,7 +147,6 @@ collectStats(ClusterSim &sim)
         std::uint64_t steals = 0;
         std::uint64_t stealProbes = 0;
         std::uint64_t nicProbes = 0;
-        std::uint64_t preempts = 0;
         for (ServerId s = 0; s < sim.numServers(); ++s) {
             Machine &m = sim.machine(s);
             dispatches += m.schedDispatches();
@@ -155,7 +154,6 @@ collectStats(ClusterSim &sim)
             steals += m.schedSteals();
             stealProbes += m.schedStealProbes();
             nicProbes += m.schedNicProbes();
-            preempts += m.schedPreemptions();
         }
         d.add("cluster.sched.dispatches",
               static_cast<double>(dispatches),
@@ -172,9 +170,6 @@ collectStats(ClusterSim &sim)
         d.add("cluster.sched.nic_probes",
               static_cast<double>(nicProbes),
               "village depth probes issued by the NIC policy");
-        d.add("cluster.sched.preemptions",
-              static_cast<double>(preempts),
-              "slice-expiry preemptions (SLO policy)");
     }
 
     for (ServerId s = 0; s < sim.numServers(); ++s) {
@@ -210,9 +205,6 @@ collectStats(ClusterSim &sim)
             d.add(base + "sched.nic_probes",
                   static_cast<double>(m.schedNicProbes()),
                   "NIC depth probes for po2c/jsqd dispatch");
-            d.add(base + "sched.preemptions",
-                  static_cast<double>(m.schedPreemptions()),
-                  "SLO slice preemptions on this machine");
         }
 
         const Network &net = m.network();
@@ -241,9 +233,6 @@ collectStats(ClusterSim &sim)
             d.add(base + "net.reroutes",
                   static_cast<double>(net.reroutes()),
                   "mid-flight retransmits off dead links");
-            d.add(base + "net.corrupt_retx",
-                  static_cast<double>(net.corruptRetransmits()),
-                  "retransmits after delivery corruption");
             d.add(base + "net.degraded",
                   static_cast<double>(net.degradedDeliveries()),
                   "messages delivered via loss recovery");

@@ -162,23 +162,6 @@ InvariantChecker::onSteal(const ServiceRequest &req)
 }
 
 void
-InvariantChecker::onPreempt(const ServiceRequest &req)
-{
-    countEvent();
-    ReqTrack *t = track(req, "preempt");
-    if (t == nullptr)
-        return;
-    expect(t->phase == Ph::Running,
-           "req %llu: preempted while not running (phase %u)",
-           idOf(req), static_cast<unsigned>(t->phase));
-    t->phase = Ph::Queued;
-    // The preempted request re-enters its queue: count the enqueue
-    // so the next dequeue keeps dequeues == enqueues.
-    t->enqueues += 1;
-    ++preemptions_;
-}
-
-void
 InvariantChecker::onReject(const ServiceRequest &req)
 {
     countEvent();

@@ -101,12 +101,6 @@ class InvariantChecker
      * changes — stealing is a relocation, not a lifecycle step.
      */
     void onSteal(const ServiceRequest &req);
-    /**
-     * A running request was preempted back into its queue (Slo
-     * slice preemption): Running -> Queued, and the re-entry counts
-     * as an enqueue so the dequeue/enqueue balance keeps holding.
-     */
-    void onPreempt(const ServiceRequest &req);
     /** @} */
 
     /** @name Network flight hooks @{ */
@@ -144,7 +138,6 @@ class InvariantChecker
     std::size_t liveRequests() const { return reqs_.size(); }
     std::uint64_t hookEvents() const { return events_; }
     std::uint64_t steals() const { return steals_; }
-    std::uint64_t preemptions() const { return preemptions_; }
     std::uint64_t auditRuns() const { return auditRuns_; }
     const std::vector<std::string> &violations() const
     {
@@ -183,7 +176,6 @@ class InvariantChecker
     std::uint64_t netDelivered_ = 0;
     std::uint64_t netDropped_ = 0;
     std::uint64_t steals_ = 0;
-    std::uint64_t preemptions_ = 0;
     std::unordered_map<RequestId, ReqTrack> reqs_;
     std::vector<std::pair<std::string, AuditFn>> auditors_;
     std::vector<std::pair<std::string, AuditFn>> finalAuditors_;

@@ -109,32 +109,6 @@ TEST(InvariantChecker, StealWhileRunningFlagged)
     EXPECT_FALSE(c.violations().empty());
 }
 
-TEST(InvariantChecker, CleanPreemptLifecycle)
-{
-    // Preemption moves Running back to Queued and counts the
-    // re-enqueue, so dequeues == enqueues holds at completion.
-    SoftChecker c;
-    ServiceRequest req(11, 0, oneSegment());
-    c.onEnqueue(req);
-    c.onDequeue(req);
-    c.onPreempt(req);
-    c.onDequeue(req);
-    c.onComplete(req);
-    c.onDestroy(req);
-    EXPECT_TRUE(c.violations().empty())
-        << c.violations().front();
-    EXPECT_EQ(c.preemptions(), 1u);
-}
-
-TEST(InvariantChecker, PreemptWhileQueuedFlagged)
-{
-    SoftChecker c;
-    ServiceRequest req(11, 0, oneSegment());
-    c.onEnqueue(req);
-    c.onPreempt(req); // only running requests can be preempted
-    EXPECT_FALSE(c.violations().empty());
-}
-
 TEST(InvariantChecker, DoubleDequeueFlagged)
 {
     SoftChecker c;
