@@ -7,10 +7,13 @@
  * (social-network workload) and reports, per point, the P99.9
  * end-to-end latency plus the ledger's answer to *why* the tail is
  * what it is: the RQ-wait and blocked-on-child ticks on the critical
- * paths of the retained slowest roots. Probing dispatch (po2c /
- * jsqd) and hardware work stealing should each pull the RQ-wait
- * component down versus round-robin once the machine saturates
- * (rho >= 0.8); the ledger keeps summing to end-to-end either way
+ * paths of the retained slowest roots. On one server, steals land
+ * from about 200K RPS and cut the RQ-wait component below
+ * round-robin's; from 300K, past round-robin's knee, they cut P99.9
+ * itself. Probing dispatch (po2c / jsqd) cuts the RQ-wait component
+ * at 260K-300K, but its P99.9 gain at 340K comes from the
+ * blocked-on-child component: its RQ wait there is no lower than
+ * round-robin's. The ledger keeps summing to end-to-end either way
  * (mismatches column).
  */
 

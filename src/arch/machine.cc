@@ -604,8 +604,7 @@ Machine::corePickup(CoreId core, bool allow_steal)
     Tick done = curTick();
     ServiceRequest *req = nullptr;
     if (p_.sched == MachineParams::Sched::HwRq) {
-        req = villages_[villageOfCore(core)].rq->dequeue(curTick(),
-                                                         done);
+        req = villages_[villageOfCore(core)].rq->dequeue(curTick(), done);
         if (req == nullptr && allow_steal &&
             dkind_ == DispatchKind::Steal) {
             req = trySteal(core, done);

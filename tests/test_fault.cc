@@ -207,27 +207,37 @@ TEST(FaultNetwork, MidFlightLinkDeathRetransmits)
         EXPECT_EQ(net.degradedDeliveries(), 1u);
     }
     {
-        // Leaf-spine: the dead link is a spine uplink with
-        // equal-cost siblings, so every retransmit finds a surviving
-        // path and delivers without degrading.
+        // Leaf-spine: kill, just after the send, every spine uplink
+        // of the source pod but one. Each retransmit must route over
+        // the survivor and deliver without degrading; one that
+        // retried ECMP blind would hit a dead uplink 31 times in 32.
         EventQueue eq;
         LeafSpine topo{LeafSpineParams{}};
         FaultState faults(topo);
         Network net("net", eq, topo, 1);
         net.setFaultState(&faults);
 
-        // The network's first route draws from the same seed, so
-        // the first message takes this path.
         Rng rng(1);
         std::vector<LinkId> path;
         ASSERT_TRUE(topo.route(0, 31 * 5, rng, path, &faults));
-        const auto uplink =
-            std::find_if(path.begin(), path.end(), [&](LinkId id) {
-                return topo.links()[id].level == 2;
-            });
-        ASSERT_NE(uplink, path.end());
-        const LinkId dead = *uplink;
-        eq.schedule(1, [&]() { faults.setLinkUp(dead, false); });
+        ASSERT_TRUE(topo.links()[path.front()].access);
+        const NodeId leaf = topo.links()[path.front()].to;
+        std::set<NodeId> spines;
+        for (const LinkSpec &l : topo.links()) {
+            if (l.level == 1 && l.from == leaf)
+                spines.insert(l.to);
+        }
+        std::vector<LinkId> uplinks;
+        for (LinkId id = 0; id < topo.links().size(); ++id) {
+            const LinkSpec &l = topo.links()[id];
+            if (l.level == 2 && spines.count(l.from) != 0)
+                uplinks.push_back(id);
+        }
+        ASSERT_EQ(uplinks.size(), 32u);
+        eq.schedule(1, [&]() {
+            for (std::size_t i = 1; i < uplinks.size(); ++i)
+                faults.setLinkUp(uplinks[i], false);
+        });
 
         int arrived = 0;
         for (int i = 0; i < 16; ++i) {
