@@ -234,6 +234,9 @@ TEST(FaultNetwork, MidFlightLinkDeathRetransmits)
                 uplinks.push_back(id);
         }
         ASSERT_EQ(uplinks.size(), 32u);
+        // uplinks[0] survives; the first message's uplink dies.
+        ASSERT_EQ(std::find(path.begin(), path.end(), uplinks[0]),
+                  path.end());
         eq.schedule(1, [&]() {
             for (std::size_t i = 1; i < uplinks.size(); ++i)
                 faults.setLinkUp(uplinks[i], false);
