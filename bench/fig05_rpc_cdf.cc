@@ -45,13 +45,11 @@ main(int argc, char **argv)
     Rng rng(args.seed);
     Summary calls;
     Summary work_us;
+    Behavior b;
     for (int i = 0; i < 20000; ++i) {
         for (const ServiceId id : cat.endpoints()) {
-            const Behavior b = cat.makeBehavior(id, rng);
-            std::size_t c = 0;
-            for (const CallGroup &g : b.groups)
-                c += g.size();
-            calls.add(static_cast<double>(c));
+            cat.makeBehavior(id, rng, b);
+            calls.add(static_cast<double>(b.calls.size()));
             work_us.add(toUs(b.totalWork()));
         }
     }

@@ -163,14 +163,19 @@ ServiceRequest *
 ClusterSim::makeRequest(ServiceId service, ServiceRequest *parent)
 {
     const RequestId id = p_.idBase + nextId_++;
-    auto req = std::make_unique<ServiceRequest>(
-        id, service, catalog_.makeBehavior(service, behaviorRng_));
+    ServiceRequest *req = reqPool_.reuse();
+    if (req != nullptr) {
+        req->reset(id, service);
+    } else {
+        req = reqPool_.adopt(
+            std::make_unique<ServiceRequest>(id, service, Behavior{}));
+    }
+    catalog_.makeBehavior(service, behaviorRng_,
+                          req->mutableBehavior());
     req->parent = parent;
     req->createdAt = eq_.now();
-    ServiceRequest *raw = req.get();
-    UMANY_ATTRIB(AttribRegistry::active()->onCreate(*raw, eq_.now()));
-    requests_.emplace(id, std::move(req));
-    return raw;
+    UMANY_ATTRIB(AttribRegistry::active()->onCreate(*req, eq_.now()));
+    return req;
 }
 
 void
@@ -194,7 +199,7 @@ ClusterSim::destroy(ServiceRequest *req)
     }
     UMANY_INVARIANT(InvariantChecker::active()->onDestroy(*req));
     UMANY_ATTRIB(AttribRegistry::active()->onDestroy(*req, eq_.now()));
-    requests_.erase(req->id());
+    reqPool_.release(req);
 }
 
 void
@@ -217,8 +222,7 @@ ClusterSim::submitRoot(ServiceId endpoint, std::uint64_t rack_ctx)
     }
 
     ServiceRequest *req = makeRequest(endpoint, nullptr);
-    if (rack_ctx != 0)
-        rackCtx_.emplace(req->id(), rack_ctx);
+    req->rackCtx = rack_ctx;
     req->rootEndpoint = endpoint;
     req->reqBytes = 512;
     req->respBytes = 2048;
@@ -429,18 +433,13 @@ ClusterSim::handleRootComplete(ServerId, ServiceRequest *req)
     // package hops and hand back the client-observed latency, so
     // this package's histograms and ledger record what the rack's
     // client saw, not the package-local view.
-    if (onRackRootDone && !rackCtx_.empty()) {
-        const auto it = rackCtx_.find(req->id());
-        if (it != rackCtx_.end()) {
-            const std::uint64_t ctx = it->second;
-            rackCtx_.erase(it);
-            const RackRootInfo info =
-                onRackRootDone(req, ctx, latency, !req->rejected);
-            if (!req->rejected) {
-                latency = info.latency;
-                hop = info.hopTicks;
-                clientStart = info.clientStart;
-            }
+    if (onRackRootDone && req->rackCtx != 0) {
+        const RackRootInfo info = onRackRootDone(
+            req, req->rackCtx, latency, !req->rejected);
+        if (!req->rejected) {
+            latency = info.latency;
+            hop = info.hopTicks;
+            clientStart = info.clientStart;
         }
     }
     if (recording_) {
@@ -510,15 +509,17 @@ ClusterSim::handleServiceCall(ServerId s, ServiceRequest *parent,
     }
 
     child->server = target;
-    src.outboundRequest(child, parent->village, [this, s, target,
-                                                 child]() {
+    auto on_exit = [this, s, target, child]() {
         const Tick arrive = interServer_->send(
             s, target, child->reqBytes, eq_.now());
         eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
                      [this, target, child]() {
             servers_[target]->machine().externalArrival(child);
         });
-    });
+    };
+    static_assert(Machine::OnExitFn::fitsInline<decltype(on_exit)>(),
+                  "a remote call's on_exit must fit inline");
+    src.outboundRequest(child, parent->village, std::move(on_exit));
 }
 
 void

@@ -17,6 +17,7 @@
 
 #include "arch/server.hh"
 #include "rpc/inter_server.hh"
+#include "sim/object_pool.hh"
 #include "stats/histogram.hh"
 #include "stats/summary.hh"
 #include "workload/service.hh"
@@ -61,9 +62,10 @@ struct ClusterSimParams
     std::uint64_t seed = 0x5ca1ab1eull;
     /**
      * Offset added to every locally-assigned request id. RackSim
-     * gives each package a disjoint range so attribution records
-     * (keyed by request id in one shared registry) never collide
-     * across packages. 0 (the default) keeps the historical ids.
+     * gives each package a disjoint range so request ids stay unique
+     * across packages: trace ids rely on it, and the rack tail
+     * profile reads a root's package from its id. 0 (the default)
+     * keeps the historical ids.
      */
     RequestId idBase = 0;
     /**
@@ -154,7 +156,7 @@ class ClusterSim
     /** Responses that arrived after their attempt timed out. */
     std::uint64_t staleResponses() const { return staleResponses_; }
     /** @} */
-    std::uint64_t requestsInFlight() const { return requests_.size(); }
+    std::uint64_t requestsInFlight() const { return reqPool_.live(); }
     /** @} */
 
     std::uint32_t numServers() const
@@ -179,8 +181,9 @@ class ClusterSim
     std::vector<std::unique_ptr<Server>> servers_;
     std::unique_ptr<InterServerNet> interServer_;
 
-    std::unordered_map<RequestId,
-                       std::unique_ptr<ServiceRequest>> requests_;
+    /** Every request this cluster ever built; finished ones are
+     *  recycled, so a steady state allocates none. */
+    ObjectPool<ServiceRequest> reqPool_;
     RequestId nextId_ = 1;
     std::uint32_t rrServer_ = 0;
 
@@ -203,8 +206,6 @@ class ClusterSim
     };
     std::unordered_map<std::uint64_t, RootTask> tasks_;
     std::unordered_map<RequestId, std::uint64_t> reqTask_;
-    /** Rack context of non-recovery roots (empty off the rack). */
-    std::unordered_map<RequestId, std::uint64_t> rackCtx_;
     std::uint64_t nextTask_ = 1;
     /** Lifecycle-conservation pair audited at finalCheck(). */
     std::uint64_t attemptsLaunched_ = 0;

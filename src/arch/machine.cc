@@ -852,7 +852,8 @@ Machine::segmentDone(CoreId core, ServiceRequest *req)
     }
 
     // Block on the next call group.
-    const CallGroup &group = req->behavior().groups[req->segIndex];
+    const std::span<const CallStep> group =
+        req->behavior().group(req->segIndex);
     UMANY_TRACE({
         traceReqTransition(curTick(), *req, ReqState::Blocked,
                            tracePidBase_);
@@ -895,8 +896,8 @@ Machine::segmentDone(CoreId core, ServiceRequest *req)
 void
 Machine::issueCallGroup(ServiceRequest *req, VillageId v)
 {
-    const CallGroup &group =
-        req->behavior().groups[req->blockedGroup];
+    const std::span<const CallStep> group =
+        req->behavior().group(req->blockedGroup);
     const Tick blocked_from = curTick();
     req->enqueuedAt = blocked_from; // reused for blocked accounting
     for (const CallStep &call : group) {
@@ -999,14 +1000,18 @@ Machine::deliverChildResponse(ServiceRequest *parent,
     // window is empty and this is a no-op.)
     UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
         *child, net_->lastDelivery(), curTick()));
+    if (onChildConsumed)
+        onChildConsumed(child);
+    responseArrived(parent);
+}
+
+void
+Machine::responseArrived(ServiceRequest *parent)
+{
     Village &vil = villages_[parent->village];
     vil.nic->countRx();
     parent->pendingOverhead += vil.nic->rxCoreCycles();
     const Tick t = curTick() + vil.nic->rxLatency();
-
-    if (onChildConsumed)
-        onChildConsumed(child);
-
     if (parent->pendingChildren == 0)
         panic("response for a parent with no pending children");
     parent->pendingChildren -= 1;
@@ -1025,44 +1030,29 @@ Machine::externalResponse(ServiceRequest *parent, std::uint32_t bytes)
                       [this, parent, bytes]() {
         sendIcn(topo_->externalEndpoint(),
                 villageEndpoint(parent->village), bytes,
-                MsgClass::Response, [this, parent]() {
-                    Village &vil = villages_[parent->village];
-                    vil.nic->countRx();
-                    parent->pendingOverhead += vil.nic->rxCoreCycles();
-                    const Tick t =
-                        curTick() + vil.nic->rxLatency();
-                    if (parent->pendingChildren == 0)
-                        panic("external response without pending "
-                              "children");
-                    parent->pendingChildren -= 1;
-                    if (parent->pendingChildren == 0) {
-                        eventq().schedule(
-                            t,
-                            EvTag{EvSrc::ReqComplete},
-                            [this, parent]() {
-                                responseProcessed(parent);
-                            });
-                    }
-                });
+                MsgClass::Response,
+                [this, parent]() { responseArrived(parent); });
     });
 }
 
 void
 Machine::outboundRequest(ServiceRequest *req, VillageId from,
-                         std::function<void()> on_exit)
+                         OnExitFn on_exit)
 {
+    auto on_wire = [this, req, on_exit = std::move(on_exit)]() mutable {
+        UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
+            *req, net_->lastDelivery(), curTick()));
+        Tick t = topNic_->egress(curTick(), req->reqBytes);
+        t += rnic_->sendPenalty();
+        UMANY_ATTRIB(AttribRegistry::active()->charge(
+            *req, AttribComp::NicDispatch, t));
+        eventq().schedule(t, EvTag{EvSrc::RpcNic}, std::move(on_exit));
+    };
+    static_assert(Network::DeliverFn::fitsInline<decltype(on_wire)>(),
+                  "an OnExitFn capture must not push the delivery "
+                  "callback onto the heap");
     sendIcn(villageEndpoint(from), topo_->externalEndpoint(),
-            req->reqBytes, MsgClass::Request,
-            [this, req, on_exit = std::move(on_exit)]() mutable {
-                UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
-                    *req, net_->lastDelivery(), curTick()));
-                Tick t = topNic_->egress(curTick(), req->reqBytes);
-                t += rnic_->sendPenalty();
-                UMANY_ATTRIB(AttribRegistry::active()->charge(
-                    *req, AttribComp::NicDispatch, t));
-                eventq().schedule(t, EvTag{EvSrc::RpcNic},
-                                  std::move(on_exit));
-            });
+            req->reqBytes, MsgClass::Request, std::move(on_wire));
 }
 
 void

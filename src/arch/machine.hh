@@ -31,6 +31,7 @@
 #include "sched/dispatcher.hh"
 #include "sched/queue_system.hh"
 #include "sched/service_map.hh"
+#include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 #include "workload/service.hh"
 
@@ -143,6 +144,13 @@ std::unique_ptr<Topology> makeTopology(const MachineParams &p);
 class Machine : public SimObject
 {
   public:
+    /**
+     * outboundRequest()'s continuation. 32 inline bytes hold
+     * ClusterSim's capture, and keep sendIcn()'s capture of it
+     * within the network's 64-byte callback.
+     */
+    using OnExitFn = InlineFunction<void(), 32>;
+
     Machine(std::string name, EventQueue &eq, const MachineParams &p,
             ServerId self, std::uint64_t seed);
     ~Machine() override;
@@ -201,7 +209,7 @@ class Machine : public SimObject
      * @p on_exit runs when the message is on the external wire.
      */
     void outboundRequest(ServiceRequest *req, VillageId from,
-                         std::function<void()> on_exit);
+                         OnExitFn on_exit);
     /** @} */
 
     /** @name Introspection and statistics @{ */
@@ -353,6 +361,12 @@ class Machine : public SimObject
                       bool rnic_penalty);
     void deliverChildResponse(ServiceRequest *parent,
                               ServiceRequest *child);
+    /**
+     * A response (local child, remote child or storage) reaches
+     * @p parent's village: village NIC rx, and the unblock once the
+     * last pending one is in.
+     */
+    void responseArrived(ServiceRequest *parent);
     void responseProcessed(ServiceRequest *parent);
     void rejectRequest(ServiceRequest *req);
     void releaseCore(CoreId core);

@@ -48,21 +48,24 @@ AttribRegistry::setTopK(std::size_t k)
 void
 AttribRegistry::onCreate(ServiceRequest &req, Tick now)
 {
-    AttribRecord &rec = records_[req.id()];
-    rec.id = req.id();
-    rec.service = req.service();
-    rec.rootEndpoint = req.rootEndpoint;
-    rec.startedAt = now;
-    rec.createdAt = now;
-    rec.lastTs = now;
+    AttribRecord *rec = pool_.reuse();
+    if (rec != nullptr)
+        rec->reset();
+    else
+        rec = pool_.adopt(std::make_unique<AttribRecord>());
+    rec->id = req.id();
+    rec->service = req.service();
+    rec->rootEndpoint = req.rootEndpoint;
+    rec->startedAt = now;
+    rec->createdAt = now;
+    rec->lastTs = now;
     if (req.parent != nullptr) {
-        rec.parent = req.parent->id();
-        rec.group = req.parent->blockedGroup;
-        auto it = records_.find(rec.parent);
-        if (it != records_.end())
-            it->second.children.push_back(rec.id);
+        rec->parent = req.parent->id();
+        rec->group = req.parent->blockedGroup;
+        if (req.parent->attrib != nullptr)
+            req.parent->attrib->children.push_back(rec);
     }
-    req.attrib = &rec;
+    req.attrib = rec;
 }
 
 void
@@ -164,15 +167,12 @@ AttribRegistry::onDestroy(ServiceRequest &req, Tick now)
     if (rec->parent != 0)
         return; // Children live until their root is destroyed.
     if (rec->observed) {
-        const RecordLookup lookup = [this](RequestId id) {
-            return find(id);
-        };
         // The client-observed latency, not resolvedAt - startedAt:
         // at rack scale the egress hop extends past resolution.
-        profiler_->ingest(*rec, rec->observedLatency, lookup);
+        profiler_->ingest(*rec, rec->observedLatency);
         rootsObserved_ += 1;
     }
-    releaseTree(rec->id);
+    releaseTree(rec);
 }
 
 void
@@ -186,26 +186,16 @@ AttribRegistry::accumulate(const ServiceRequest &req)
     accumulated_ += 1;
 }
 
-const AttribRecord *
-AttribRegistry::find(RequestId id) const
-{
-    const auto it = records_.find(id);
-    return it == records_.end() ? nullptr : &it->second;
-}
-
 void
-AttribRegistry::releaseTree(RequestId root)
+AttribRegistry::releaseTree(AttribRecord *root)
 {
-    std::vector<RequestId> stack{root};
-    while (!stack.empty()) {
-        const RequestId id = stack.back();
-        stack.pop_back();
-        const auto it = records_.find(id);
-        if (it == records_.end())
-            continue;
-        for (const RequestId c : it->second.children)
-            stack.push_back(c);
-        records_.erase(it);
+    stack_.push_back(root);
+    while (!stack_.empty()) {
+        AttribRecord *rec = stack_.back();
+        stack_.pop_back();
+        stack_.insert(stack_.end(), rec->children.begin(),
+                      rec->children.end());
+        pool_.release(rec);
     }
 }
 

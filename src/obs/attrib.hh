@@ -24,9 +24,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/object_pool.hh"
 #include "sim/types.hh"
 #include "stats/histogram.hh"
 
@@ -96,7 +96,18 @@ struct AttribRecord
     bool resolved = false;
     bool observed = false; //!< Root completed inside the window.
     std::array<Tick, kNumAttribComps> comp{};
-    std::vector<RequestId> children;
+    /** Child records, owned by the same registry. */
+    std::vector<AttribRecord *> children;
+
+    /** Return every field to its default, keeping the capacity of
+     *  children (a recycled record's next life). */
+    void reset()
+    {
+        std::vector<AttribRecord *> kept = std::move(children);
+        kept.clear();
+        *this = AttribRecord{};
+        children = std::move(kept);
+    }
 
     /** Charge [lastTs, ts] to c and advance the checkpoint. */
     void charge(AttribComp c, Tick ts)
@@ -119,7 +130,9 @@ struct AttribRecord
 /**
  * Owns every live AttribRecord and the per-request aggregate
  * histograms. One registry per experiment; installed thread-local so
- * sweep points on different threads do not interfere.
+ * sweep points on different threads do not interfere. Records come
+ * from a pool the registry owns: a released tree's records are
+ * recycled, so a steady state allocates none.
  */
 class AttribRegistry
 {
@@ -172,8 +185,7 @@ class AttribRegistry
     /** @} */
 
     /** @name Introspection @{ */
-    const AttribRecord *find(RequestId id) const;
-    std::size_t liveRecords() const { return records_.size(); }
+    std::size_t liveRecords() const { return pool_.live(); }
     std::uint64_t accumulated() const { return accumulated_; }
     std::uint64_t rootsObserved() const { return rootsObserved_; }
     /** Roots whose ledger total missed the latency by > 1 tick. */
@@ -190,11 +202,14 @@ class AttribRegistry
     void setTopK(std::size_t k);
 
   private:
-    void releaseTree(RequestId root);
+    /** Return @p root and every record below it to the pool. */
+    void releaseTree(AttribRecord *root);
 
     static inline thread_local AttribRegistry *active_ = nullptr;
 
-    std::unordered_map<RequestId, AttribRecord> records_;
+    ObjectPool<AttribRecord> pool_;
+    /** releaseTree()'s walk, kept for its capacity. */
+    std::vector<AttribRecord *> stack_;
     std::array<Histogram, kNumAttribComps> perReqTicks_;
     std::uint64_t accumulated_ = 0;
     std::uint64_t rootsObserved_ = 0;

@@ -24,12 +24,11 @@ selfTopOf(const AttribRecord &r, AttribComp &comp, Tick &ticks)
 
 /** The child whose resolution arrived last (the gating child). */
 const AttribRecord *
-gatingChild(const AttribRecord &node, const RecordLookup &lookup)
+gatingChild(const AttribRecord &node)
 {
     const AttribRecord *gating = nullptr;
-    for (const RequestId cid : node.children) {
-        const AttribRecord *c = lookup(cid);
-        if (c == nullptr || !c->resolved)
+    for (const AttribRecord *c : node.children) {
+        if (!c->resolved)
             continue;
         if (gating == nullptr || c->resolvedAt > gating->resolvedAt ||
             (c->resolvedAt == gating->resolvedAt && c->id > gating->id))
@@ -40,14 +39,14 @@ gatingChild(const AttribRecord &node, const RecordLookup &lookup)
 
 } // namespace
 
-CriticalPath
-extractCriticalPath(const AttribRecord &root,
-                    const RecordLookup &lookup)
+void
+extractCriticalPath(const AttribRecord &root, CriticalPath &path)
 {
     constexpr auto blocked =
         static_cast<std::size_t>(AttribComp::BlockedOnChild);
 
-    CriticalPath path;
+    path.steps.clear();
+    path.comp.fill(0);
     const AttribRecord *node = &root;
     std::size_t depth = 0;
     while (node != nullptr) {
@@ -65,7 +64,7 @@ extractCriticalPath(const AttribRecord &root,
                 path.comp[i] += node->comp[i];
         }
 
-        const AttribRecord *child = gatingChild(*node, lookup);
+        const AttribRecord *child = gatingChild(*node);
         if (child == nullptr) {
             // Leaf (or unresolvable children): its blocked time is
             // storage / unexpanded wait and stays attributed here.
@@ -84,7 +83,6 @@ extractCriticalPath(const AttribRecord &root,
     }
 
     path.totalTicks = root.total();
-    return path;
 }
 
 } // namespace umany

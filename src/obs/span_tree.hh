@@ -2,7 +2,7 @@
  * @file
  * Cross-RPC span trees and critical-path extraction.
  *
- * AttribRecords already form a tree (parent/children ids); this
+ * AttribRecords already form a tree (children pointers); this
  * module walks a completed root's tree and extracts the critical
  * path: at every node the chain descends into the *gating* child —
  * the one whose resolution arrived last — because until that child
@@ -17,17 +17,12 @@
 #ifndef UMANY_OBS_SPAN_TREE_HH
 #define UMANY_OBS_SPAN_TREE_HH
 
-#include <functional>
 #include <vector>
 
 #include "obs/attrib.hh"
 
 namespace umany
 {
-
-/** Resolves a record id to its record (nullptr when unknown). */
-using RecordLookup =
-    std::function<const AttribRecord *(RequestId)>;
 
 /** One node on the critical path, root first. */
 struct CriticalStep
@@ -51,12 +46,12 @@ struct CriticalPath
 };
 
 /**
- * Extract the critical path of `root`. `lookup` resolves child ids;
- * children that cannot be resolved terminate the descent (their time
- * stays in BlockedOnChild).
+ * Extract the critical path of `root` into `out`, replacing what it
+ * held but keeping its capacity. Only resolved children can gate; a
+ * node with none ends the descent (its time stays in
+ * BlockedOnChild).
  */
-CriticalPath extractCriticalPath(const AttribRecord &root,
-                                 const RecordLookup &lookup);
+void extractCriticalPath(const AttribRecord &root, CriticalPath &out);
 
 } // namespace umany
 

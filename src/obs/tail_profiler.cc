@@ -72,8 +72,7 @@ TailProfiler::EndpointProfile::sortedCaptures() const
 }
 
 void
-TailProfiler::ingest(const AttribRecord &root, Tick latency,
-                     const RecordLookup &lookup)
+TailProfiler::ingest(const AttribRecord &root, Tick latency)
 {
     const ServiceId ep = root.rootEndpoint != invalidId
                              ? root.rootEndpoint
@@ -83,15 +82,14 @@ TailProfiler::ingest(const AttribRecord &root, Tick latency,
     roots_ += 1;
     prof.latencyTicks.add(latency);
 
-    CriticalPath path = extractCriticalPath(root, lookup);
+    extractCriticalPath(root, path_);
     for (std::size_t i = 0; i < kNumAttribComps; ++i) {
-        prof.pathTicks[i].add(path.comp[i]);
-        prof.pathTotal[i] += path.comp[i];
+        prof.pathTicks[i].add(path_.comp[i]);
+        prof.pathTotal[i] += path_.comp[i];
     }
 
     if (prof.captures.size() < topK_) {
-        prof.captures.push_back(
-            TailCapture{root.id, latency, std::move(path)});
+        prof.captures.push_back(TailCapture{root.id, latency, path_});
         std::push_heap(prof.captures.begin(), prof.captures.end(),
                        heapOrder);
         return;
@@ -100,8 +98,12 @@ TailProfiler::ingest(const AttribRecord &root, Tick latency,
         return;
     std::pop_heap(prof.captures.begin(), prof.captures.end(),
                   heapOrder);
-    prof.captures.back() = TailCapture{root.id, latency,
-                                       std::move(path)};
+    // Copy-assign into the evicted capture, whose path keeps its
+    // capacity.
+    TailCapture &slot = prof.captures.back();
+    slot.id = root.id;
+    slot.latency = latency;
+    slot.path = path_;
     std::push_heap(prof.captures.begin(), prof.captures.end(),
                    heapOrder);
 }

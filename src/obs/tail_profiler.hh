@@ -46,9 +46,12 @@ class TailProfiler
     void setTopK(std::size_t k) { topK_ = k == 0 ? 1 : k; }
     std::size_t topK() const { return topK_; }
 
-    /** Ingest one completed root (latency in ticks). */
-    void ingest(const AttribRecord &root, Tick latency,
-                const RecordLookup &lookup);
+    /**
+     * Ingest one completed root (latency in ticks). Its critical
+     * path is copied into a capture only when the root enters the
+     * top-k.
+     */
+    void ingest(const AttribRecord &root, Tick latency);
 
     /** Per-endpoint tail state. */
     struct EndpointProfile
@@ -109,6 +112,8 @@ class TailProfiler
     std::size_t topK_;
     std::uint64_t roots_ = 0;
     std::map<ServiceId, EndpointProfile> endpoints_;
+    /** ingest()'s path, kept for its capacity. */
+    CriticalPath path_;
 };
 
 } // namespace umany

@@ -94,9 +94,9 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
         // count) survives a clean drain.
         UMANY_INVARIANT(InvariantChecker::active()->addFinalAuditor(
             "rack.lb", [this](InvariantChecker &ic) {
-                ic.expect(ctxs_.empty(),
+                ic.expect(liveCtxs_ == 0,
                           "%zu rack roots still pending after drain",
-                          ctxs_.size());
+                          liveCtxs_);
                 std::uint64_t inflight = 0;
                 for (const std::uint64_t n : inflight_)
                     inflight += n;
@@ -195,8 +195,11 @@ RackSim::submitRoot(ServiceId endpoint)
     const Tick arrive = sub_->net.send(p_.packages, pkg, kRootReqBytes,
                                        now, &req_queue);
     const std::uint64_t ctx = nextCtx_++;
-    ctxs_.emplace(ctx,
-                  PendingRoot{now, arrive, req_queue, pkg, endpoint});
+    while (ctxs_.empty() || ctxs_[ctx & (ctxs_.size() - 1)].ctx != 0)
+        growCtxs();
+    ctxs_[ctx & (ctxs_.size() - 1)] =
+        PendingRoot{ctx, now, arrive, req_queue, pkg, endpoint};
+    ++liveCtxs_;
     UMANY_TRACE({
         // The LB's view of the root: one lb.root span covering
         // dispatch to response, a dispatch marker naming the chosen
@@ -220,17 +223,41 @@ RackSim::submitRoot(ServiceId endpoint)
     });
 }
 
+void
+RackSim::growCtxs()
+{
+    const std::vector<PendingRoot> old = std::move(ctxs_);
+    for (std::size_t n = old.empty() ? 64 : 2 * old.size();; n *= 2) {
+        ctxs_.assign(n, PendingRoot{});
+        bool placed = true;
+        for (const PendingRoot &r : old) {
+            if (r.ctx == 0)
+                continue;
+            PendingRoot &slot = ctxs_[r.ctx & (n - 1)];
+            if (slot.ctx != 0) {
+                placed = false;
+                break;
+            }
+            slot = r;
+        }
+        if (placed)
+            return;
+    }
+}
+
 ClusterSim::RackRootInfo
 RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
                     std::uint64_t ctx, Tick pkg_latency,
                     bool completed)
 {
-    const auto it = ctxs_.find(ctx);
-    if (it == ctxs_.end())
+    PendingRoot *slot =
+        ctxs_.empty() ? nullptr : &ctxs_[ctx & (ctxs_.size() - 1)];
+    if (slot == nullptr || slot->ctx != ctx)
         panic("rack root resolved with unknown context %llu",
               static_cast<unsigned long long>(ctx));
-    const PendingRoot pending = it->second;
-    ctxs_.erase(it);
+    const PendingRoot pending = *slot;
+    slot->ctx = 0;
+    --liveCtxs_;
     if (pending.pkg != pkg)
         panic("rack root for package %u resolved by package %u",
               pending.pkg, pkg);

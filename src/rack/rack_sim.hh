@@ -27,7 +27,6 @@
 #define UMANY_RACK_RACK_SIM_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/cluster_sim.hh"
@@ -130,6 +129,8 @@ class RackSim
     {
         return policy_ ? policy_->probesIssued() : 0;
     }
+    /** Roots dispatched by the LB and not yet resolved. */
+    std::size_t pendingRoots() const { return liveCtxs_; }
     /** @} */
 
     /** @name Aggregated package counters (LB sheds included) @{ */
@@ -161,6 +162,7 @@ class RackSim
     /** One dispatched root the LB is waiting on. */
     struct PendingRoot
     {
+        std::uint64_t ctx = 0; //!< Its context number; 0 = free.
         Tick lbArrival = 0; //!< When the root reached the LB.
         Tick submitAt = 0;  //!< When it enters its package.
         Tick reqQueue = 0;  //!< Queueing share of the request hop.
@@ -189,7 +191,15 @@ class RackSim
     std::vector<std::uint64_t> inflight_;
     std::vector<std::uint64_t> lbDispatches_;
     std::vector<std::uint32_t> candScratch_;
-    std::unordered_map<std::uint64_t, PendingRoot> ctxs_;
+    /**
+     * Pending roots indexed by context number: a power-of-two ring
+     * read at ctx & (size - 1). Contexts are numbered in dispatch
+     * order, so a slot has normally resolved by the time its number
+     * comes round again; when it has not, the ring doubles. Empty
+     * until the first dispatch.
+     */
+    std::vector<PendingRoot> ctxs_;
+    std::size_t liveCtxs_ = 0;
     std::uint64_t nextCtx_ = 1;
     std::uint64_t rrCursor_ = 0;
     std::uint64_t lbShedRoots_ = 0;
@@ -201,6 +211,10 @@ class RackSim
      *  package. 0 when the rack layer is inert. */
     std::uint32_t pidStride_ = 0;
     std::uint32_t rackPid_ = 0;
+
+    /** Double the ring until every live context has its own
+     *  slot. */
+    void growCtxs();
 
     ClusterSim::RackRootInfo onRootDone(std::uint32_t pkg,
                                         ServiceRequest *req,

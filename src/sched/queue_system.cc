@@ -8,32 +8,97 @@
 namespace umany
 {
 
+namespace
+{
+
+/** Live entries below which shifting the longer side costs little
+ *  and no room is opened before the head. */
+constexpr std::size_t kShallowList = 64;
+
+} // namespace
+
 void
 ReadyList::insert(std::uint64_t seq, ServiceRequest *req)
 {
-    entries_.emplace(seq, req);
+    if (empty() || entries_.back().seq < seq) {
+        entries_.push_back({seq, req});
+        return;
+    }
+    auto first = entries_.begin() + static_cast<std::ptrdiff_t>(head_);
+    auto pos = std::lower_bound(
+        first, entries_.end(), seq,
+        [](const Entry &e, std::uint64_t s) { return e.seq < s; });
+    if (pos->seq == seq) {
+        panic("ready list: duplicate seq %llu",
+              static_cast<unsigned long long>(seq));
+    }
+    const std::size_t older = static_cast<std::size_t>(pos - first);
+    const std::size_t younger =
+        static_cast<std::size_t>(entries_.end() - pos);
+    if (older >= younger) {
+        entries_.insert(pos, {seq, req});
+        return;
+    }
+    if (head_ == 0) {
+        if (younger <= kShallowList) {
+            entries_.insert(pos, {seq, req});
+            return;
+        }
+        // A deep list with no dead slot before the head: open a
+        // quarter of its size, so this and the next front inserts
+        // shift only their older side.
+        rebase(size() / 4);
+        first = entries_.begin() + static_cast<std::ptrdiff_t>(head_);
+        pos = first + static_cast<std::ptrdiff_t>(older);
+    }
+    // Shift the older side down into the dead slot before the head.
+    std::move(first, pos, first - 1);
+    --head_;
+    *(pos - 1) = {seq, req};
 }
 
 ServiceRequest *
 ReadyList::popFront()
 {
-    if (entries_.empty())
+    if (empty())
         return nullptr;
-    auto it = entries_.begin();
-    ServiceRequest *req = it->second;
-    entries_.erase(it);
+    ServiceRequest *req = entries_[head_].req;
+    ++head_;
+    if (empty()) {
+        entries_.clear();
+        head_ = 0;
+    } else if (head_ > kShallowList && head_ > 2 * size()) {
+        rebase(size() / 4);
+    }
     return req;
 }
 
 ServiceRequest *
 ReadyList::popBack()
 {
-    if (entries_.empty())
+    if (empty())
         return nullptr;
-    auto it = std::prev(entries_.end());
-    ServiceRequest *req = it->second;
-    entries_.erase(it);
+    ServiceRequest *req = entries_.back().req;
+    entries_.pop_back();
+    if (empty()) {
+        entries_.clear();
+        head_ = 0;
+    }
     return req;
+}
+
+void
+ReadyList::rebase(std::size_t slack)
+{
+    const auto begin = entries_.begin();
+    if (slack < head_) {
+        entries_.erase(begin + static_cast<std::ptrdiff_t>(slack),
+                       begin + static_cast<std::ptrdiff_t>(head_));
+    } else {
+        entries_.insert(begin + static_cast<std::ptrdiff_t>(head_),
+                        slack - head_, Entry{});
+    }
+    head_ = slack;
 }
 
 SwQueueSystem::SwQueueSystem(const SwQueueParams &p, std::uint64_t seed)

@@ -12,7 +12,6 @@
 #define UMANY_SCHED_QUEUE_SYSTEM_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "sched/request.hh"
@@ -26,6 +25,17 @@ namespace umany
  * FCFS ready list ordered by arrival sequence number, so requests
  * unblocked after an RPC resume ahead of later arrivals — the same
  * ordering the hardware RQ provides via its head pointer.
+ *
+ * The (seq, req) pairs sit sorted in one vector whose live part
+ * starts at a head offset. A fresh arrival carries the largest seq
+ * and is appended; an unblocked request is placed by binary search,
+ * shifting whichever side of it is shorter (the older side moves
+ * into a dead slot before the head). popFront() advances the head,
+ * and dead slots are compacted at amortized O(1) cost. The vector
+ * keeps its capacity, so a steady state allocates nothing, at the
+ * hardware RQ's 64 entries and at software-queue depths of
+ * thousands alike. Sequence numbers are unique: inserting one that
+ * is already listed panics.
  */
 class ReadyList
 {
@@ -38,11 +48,21 @@ class ReadyList
     /** Pop the youngest entry (steal semantics; nullptr when empty). */
     ServiceRequest *popBack();
 
-    bool empty() const { return entries_.empty(); }
-    std::size_t size() const { return entries_.size(); }
+    bool empty() const { return head_ == entries_.size(); }
+    std::size_t size() const { return entries_.size() - head_; }
 
   private:
-    std::map<std::uint64_t, ServiceRequest *> entries_;
+    struct Entry
+    {
+        std::uint64_t seq;
+        ServiceRequest *req;
+    };
+
+    std::vector<Entry> entries_;
+    std::size_t head_ = 0; //!< Index of the oldest live entry.
+
+    /** Slide the live entries so @p slack dead slots precede them. */
+    void rebase(std::size_t slack);
 };
 
 /** Parameters of the software queue system. */

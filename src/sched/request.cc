@@ -32,13 +32,15 @@ Behavior::wellFormed() const
 {
     if (segments.empty())
         return false;
-    if (groups.size() + 1 != segments.size())
+    if (groupEnds.size() + 1 != segments.size())
         return false;
-    for (const CallGroup &g : groups) {
-        if (g.empty())
+    std::uint32_t prev = 0;
+    for (const std::uint32_t end : groupEnds) {
+        if (end <= prev)
             return false;
+        prev = end;
     }
-    return true;
+    return prev == calls.size();
 }
 
 Tick
@@ -51,6 +53,14 @@ ServiceRequest::ServiceRequest(RequestId id, ServiceId service,
                                Behavior behavior)
     : id_(id), service_(service), behavior_(std::move(behavior))
 {
+}
+
+void
+ServiceRequest::reset(RequestId id, ServiceId service)
+{
+    Behavior kept = std::move(behavior_);
+    kept.clear();
+    *this = ServiceRequest(id, service, std::move(kept));
 }
 
 } // namespace umany

@@ -13,7 +13,8 @@
 #define UMANY_SCHED_REQUEST_HH
 
 #include <cstdint>
-#include <string>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "sim/types.hh"
@@ -51,39 +52,89 @@ struct CallStep
     ServiceId callee = invalidId; //!< For Kind::Service.
     std::uint32_t requestBytes = 512;
     std::uint32_t responseBytes = 1024;
-};
 
-/** Calls issued in parallel after a compute segment. */
-using CallGroup = std::vector<CallStep>;
+    bool operator==(const CallStep &) const = default;
+};
 
 /**
  * The execution shape of one handler invocation.
  *
- * segments[i] runs, then groups[i] is issued (if i < groups.size());
- * execution finishes after the last segment. Segment durations are
+ * segments[i] runs, then group i is issued (if i < blockingCalls());
+ * execution finishes after the last segment. The groups are stored
+ * flat: group i is calls[groupEnds[i-1], groupEnds[i]), with
+ * groupEnds[-1] read as 0, so refilling a Behavior whose vectors
+ * kept their capacity allocates nothing. Segment durations are
  * expressed in ticks of *reference-core* work; machines scale them
  * by their per-core performance factor.
  */
 struct Behavior
 {
     std::vector<Tick> segments;
-    std::vector<CallGroup> groups;
+    std::vector<CallStep> calls;
+    /** End index in calls of each group, one per group (defaulted,
+     *  so a group-free Behavior{segments, {}} needs no third list). */
+    std::vector<std::uint32_t> groupEnds = {};
 
-    /** Validate shape: segments.size() == groups.size() + 1. */
+    /** The calls of group @p i, issued in parallel. */
+    std::span<const CallStep> group(std::size_t i) const
+    {
+        const std::size_t begin = i == 0 ? 0 : groupEnds[i - 1];
+        return {calls.data() + begin, groupEnds[i] - begin};
+    }
+
+    /** Close the group being built: the calls since the last one. */
+    void endGroup()
+    {
+        groupEnds.push_back(static_cast<std::uint32_t>(calls.size()));
+    }
+
+    /** Append a whole group. */
+    void addGroup(std::initializer_list<CallStep> g)
+    {
+        calls.insert(calls.end(), g);
+        endGroup();
+    }
+
+    /** Empty every vector, keeping its capacity. */
+    void clear()
+    {
+        segments.clear();
+        calls.clear();
+        groupEnds.clear();
+    }
+
+    /**
+     * Validate shape: segments.size() == blockingCalls() + 1, every
+     * group non-empty, and the groups cover exactly calls.
+     */
     bool wellFormed() const;
 
     /** Sum of segment work (reference ticks). */
     Tick totalWork() const;
 
     /** Number of blocking call groups. */
-    std::size_t blockingCalls() const { return groups.size(); }
+    std::size_t blockingCalls() const { return groupEnds.size(); }
+
+    bool operator==(const Behavior &) const = default;
 };
 
-/** A service request in flight. */
+/**
+ * A service request in flight. ClusterSim recycles them: a released
+ * request is reset() for its next life, which keeps only the
+ * capacity of its Behavior's vectors.
+ */
 class ServiceRequest
 {
   public:
     ServiceRequest(RequestId id, ServiceId service, Behavior behavior);
+
+    /**
+     * Start a new life as request @p id of @p service: every field
+     * returns to its default, as after construction with an empty
+     * Behavior, but the Behavior keeps its vectors' capacity for
+     * the caller to refill through mutableBehavior().
+     */
+    void reset(RequestId id, ServiceId service);
 
     /** @name Identity @{ */
     RequestId id() const { return id_; }
@@ -107,6 +158,8 @@ class ServiceRequest
     std::size_t segIndex = 0;
     ReqState state = ReqState::Created;
     const Behavior &behavior() const { return behavior_; }
+    /** The behaviour to fill after construction or reset(). */
+    Behavior &mutableBehavior() { return behavior_; }
     bool lastSegment() const
     {
         return segIndex + 1 >= behavior_.segments.size();
@@ -123,8 +176,12 @@ class ServiceRequest
     std::uint32_t contextSwitches = 0;
     /** @} */
 
-    /** Root-request bookkeeping (valid when parent == nullptr). */
+    /** @name Root-request bookkeeping (valid when parent == nullptr) @{ */
     ServiceId rootEndpoint = invalidId;
+    /** Rack context of a rack-routed root (0 = none); handed back
+     *  to the rack layer when the root resolves. */
+    std::uint64_t rackCtx = 0;
+    /** @} */
 
     /** @name Machine-internal bookkeeping @{ */
     /** FCFS arrival sequence assigned by the hosting machine. */

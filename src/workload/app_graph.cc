@@ -65,32 +65,26 @@ buildSocialNetwork(const AppGraphParams &p)
     ServiceSpec unique_id;
     unique_id.name = "UniqueId";
     unique_id.loadWeight = 0.5;
-    unique_id.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    unique_id.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 25)};
-        return b;
     };
     const ServiceId id_unique = cat.add(unique_id);
 
     ServiceSpec media;
     media.name = "Media";
     media.loadWeight = 1.0;
-    media.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    media.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 60), g.seg(rng, 40)};
-        b.groups = {{Gen::storage(1024, 49152), Gen::storage(512, 24576)}};
-        return b;
+        b.addGroup({Gen::storage(1024, 49152), Gen::storage(512, 24576)});
     };
     const ServiceId id_media = cat.add(media);
 
     ServiceSpec user_timeline;
     user_timeline.name = "UserTimeline";
     user_timeline.loadWeight = 1.0;
-    user_timeline.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    user_timeline.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 45), g.seg(rng, 30)};
-        b.groups = {{Gen::storage(512, 24576), Gen::storage(512, 1024)}};
-        return b;
+        b.addGroup({Gen::storage(512, 24576), Gen::storage(512, 1024)});
     };
     const ServiceId id_user_timeline = cat.add(user_timeline);
 
@@ -104,11 +98,9 @@ buildSocialNetwork(const AppGraphParams &p)
     url_short.name = "UrlShort";
     url_short.endpoint = true;
     url_short.loadWeight = 1.5; // Also called by Text.
-    url_short.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    url_short.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 45), g.seg(rng, 25)};
-        b.groups = {{Gen::storage()}};
-        return b;
+        b.addGroup({Gen::storage()});
     };
     const ServiceId id_urlshort = cat.add(url_short);
 
@@ -116,11 +108,9 @@ buildSocialNetwork(const AppGraphParams &p)
     usr_mnt.name = "UsrMnt";
     usr_mnt.endpoint = true;
     usr_mnt.loadWeight = 1.5;
-    usr_mnt.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    usr_mnt.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 50), g.seg(rng, 35)};
-        b.groups = {{Gen::storage(), Gen::storage()}};
-        return b;
+        b.addGroup({Gen::storage(), Gen::storage()});
     };
     const ServiceId id_usrmnt = cat.add(usr_mnt);
 
@@ -128,11 +118,9 @@ buildSocialNetwork(const AppGraphParams &p)
     pststr.name = "PstStr";
     pststr.endpoint = true;
     pststr.loadWeight = 2.0; // Also called by HomeT and CPost.
-    pststr.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    pststr.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 55), g.seg(rng, 35)};
-        b.groups = {{Gen::storage(2048, 24576), Gen::storage(512, 24576)}};
-        return b;
+        b.addGroup({Gen::storage(2048, 24576), Gen::storage(512, 24576)});
     };
     const ServiceId id_pststr = cat.add(pststr);
 
@@ -140,25 +128,22 @@ buildSocialNetwork(const AppGraphParams &p)
     sgraph.name = "SGraph";
     sgraph.endpoint = true;
     sgraph.loadWeight = 2.0;
-    sgraph.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    sgraph.makeBehavior = [g](Rng &rng, Behavior &b) {
         // Social-graph reads fan out to storage, then rank.
         b.segments = {g.seg(rng, 65), g.seg(rng, 45), g.seg(rng, 30)};
-        b.groups = {{Gen::storage(), Gen::storage(), Gen::storage(),
-                     Gen::storage()},
-                    {Gen::storage()}};
-        return b;
+        b.addGroup({Gen::storage(), Gen::storage(), Gen::storage(),
+                    Gen::storage()});
+        b.addGroup({Gen::storage()});
     };
     const ServiceId id_sgraph = cat.add(sgraph);
 
     ServiceSpec user;
     user.name = "User";
     user.endpoint = true;
-    user.makeBehavior = [g](Rng &rng) {
-        Behavior b;
+    user.makeBehavior = [g](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 60), g.seg(rng, 40), g.seg(rng, 25)};
-        b.groups = {{Gen::storage()}, {Gen::storage()}};
-        return b;
+        b.addGroup({Gen::storage()});
+        b.addGroup({Gen::storage()});
     };
     cat.add(user);
 
@@ -166,16 +151,16 @@ buildSocialNetwork(const AppGraphParams &p)
     text.name = "Text";
     text.endpoint = true;
     text.loadWeight = 2.0; // Also nested under CPost.
-    text.makeBehavior = [g, id_urlshort, id_usrmnt](Rng &rng) {
-        Behavior b;
+    text.makeBehavior = [g, id_urlshort, id_usrmnt](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 70), g.seg(rng, 45), g.seg(rng, 30)};
         // Shorten the 1-2 URLs and resolve mentions in parallel,
         // then persist.
-        CallGroup fanout{Gen::call(id_urlshort), Gen::call(id_usrmnt)};
+        b.calls.push_back(Gen::call(id_urlshort));
+        b.calls.push_back(Gen::call(id_usrmnt));
         if (rng.chance(0.4))
-            fanout.push_back(Gen::call(id_urlshort));
-        b.groups = {std::move(fanout), {Gen::storage()}};
-        return b;
+            b.calls.push_back(Gen::call(id_urlshort));
+        b.endGroup();
+        b.addGroup({Gen::storage()});
     };
     const ServiceId id_text = cat.add(text);
 
@@ -183,16 +168,12 @@ buildSocialNetwork(const AppGraphParams &p)
     homet.name = "HomeT";
     homet.endpoint = true;
     homet.loadWeight = 2.0;
-    homet.makeBehavior = [g, id_pststr, id_sgraph](Rng &rng) {
-        Behavior b;
+    homet.makeBehavior = [g, id_pststr, id_sgraph](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 65), g.seg(rng, 45), g.seg(rng, 35)};
-        b.groups = {
-            {Gen::call(id_sgraph, 512, 8192),
-             Gen::call(id_pststr, 512, 32768),
-             Gen::call(id_pststr, 512, 32768)},
-            {Gen::storage(), Gen::storage()},
-        };
-        return b;
+        b.addGroup({Gen::call(id_sgraph, 512, 8192),
+                    Gen::call(id_pststr, 512, 32768),
+                    Gen::call(id_pststr, 512, 32768)});
+        b.addGroup({Gen::storage(), Gen::storage()});
     };
     cat.add(homet);
 
@@ -201,23 +182,19 @@ buildSocialNetwork(const AppGraphParams &p)
     cpost.endpoint = true;
     cpost.loadWeight = 2.5;
     cpost.makeBehavior = [g, id_unique, id_media, id_text, id_pststr,
-                          id_user_timeline, id_usrmnt](Rng &rng) {
-        Behavior b;
+                          id_user_timeline, id_usrmnt](Rng &rng, Behavior &b) {
         b.segments = {g.seg(rng, 85), g.seg(rng, 55), g.seg(rng, 40),
                       g.seg(rng, 25)};
-        b.groups = {
-            // Compose: id + media + text processing in parallel
-            // (Text itself fans out further).
-            {Gen::call(id_unique, 256, 256),
-             Gen::call(id_media, 1024, 2048),
-             Gen::call(id_text, 1024, 2048)},
-            // Persist to post storage and the user timeline.
-            {Gen::call(id_pststr, 2048, 512),
-             Gen::call(id_user_timeline, 512, 512),
-             Gen::call(id_usrmnt, 512, 512)},
-            {Gen::storage()},
-        };
-        return b;
+        // Compose: id + media + text processing in parallel
+        // (Text itself fans out further).
+        b.addGroup({Gen::call(id_unique, 256, 256),
+                    Gen::call(id_media, 1024, 2048),
+                    Gen::call(id_text, 1024, 2048)});
+        // Persist to post storage and the user timeline.
+        b.addGroup({Gen::call(id_pststr, 2048, 512),
+                    Gen::call(id_user_timeline, 512, 512),
+                    Gen::call(id_usrmnt, 512, 512)});
+        b.addGroup({Gen::storage()});
     };
     cat.add(cpost);
 

@@ -46,14 +46,16 @@ ServiceCatalog::byName(const std::string &name) const
     return nullptr;
 }
 
-Behavior
-ServiceCatalog::makeBehavior(ServiceId id, Rng &rng) const
+void
+ServiceCatalog::makeBehavior(ServiceId id, Rng &rng,
+                             Behavior &out) const
 {
-    Behavior b = at(id).makeBehavior(rng);
-    if (!b.wellFormed())
+    const ServiceSpec &spec = at(id);
+    out.clear();
+    spec.makeBehavior(rng, out);
+    if (!out.wellFormed())
         panic("service '%s' generated a malformed behaviour",
-              at(id).name.c_str());
-    return b;
+              spec.name.c_str());
 }
 
 } // namespace umany

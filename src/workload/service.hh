@@ -30,8 +30,11 @@ struct ServiceSpec
     double mixWeight = 1.0;
     /** Relative expected load, used to size instance placement. */
     double loadWeight = 1.0;
-    /** Per-request behaviour generator. */
-    std::function<Behavior(Rng &)> makeBehavior;
+    /**
+     * Per-request behaviour generator: fills a cleared Behavior
+     * (whose vectors may keep capacity from an earlier request).
+     */
+    std::function<void(Rng &, Behavior &)> makeBehavior;
 };
 
 /** Registry of services; ids are dense indices into the catalog. */
@@ -50,8 +53,11 @@ class ServiceCatalog
     /** Lookup by name; nullptr if absent. */
     const ServiceSpec *byName(const std::string &name) const;
 
-    /** Draw one request behaviour for @p id. */
-    Behavior makeBehavior(ServiceId id, Rng &rng) const;
+    /**
+     * Draw one request behaviour for @p id into @p out, clearing it
+     * first; panics when the service draws a malformed shape.
+     */
+    void makeBehavior(ServiceId id, Rng &rng, Behavior &out) const;
 
   private:
     std::vector<ServiceSpec> specs_;

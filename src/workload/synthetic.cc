@@ -32,7 +32,7 @@ buildSynthetic(const SyntheticParams &p)
     ServiceSpec s;
     s.name = std::string("Synth") + synthDistName(p.dist);
     s.endpoint = true;
-    s.makeBehavior = [p](Rng &rng) {
+    s.makeBehavior = [p](Rng &rng, Behavior &b) {
         double total_us;
         switch (p.dist) {
           case SynthDist::Exponential:
@@ -60,16 +60,14 @@ buildSynthetic(const SyntheticParams &p)
         const std::uint32_t segs = calls + 1;
         const Tick per_seg = fromUs(total_us / segs);
 
-        Behavior b;
         b.segments.assign(segs, per_seg);
         for (std::uint32_t c = 0; c < calls; ++c) {
             CallStep cs;
             cs.kind = CallStep::Kind::Storage;
             cs.requestBytes = 256;
             cs.responseBytes = 512;
-            b.groups.push_back(CallGroup{cs});
+            b.addGroup({cs});
         }
-        return b;
     };
     cat.add(std::move(s));
     return cat;
@@ -94,19 +92,17 @@ buildSyntheticFanout(const FanoutParams &p)
         if (i == p.slowLeaf)
             us *= p.slowFactor;
         const bool storage = p.leafStorage;
-        leaf.makeBehavior = [us, storage](Rng &) {
-            Behavior b;
+        leaf.makeBehavior = [us, storage](Rng &, Behavior &b) {
             if (storage) {
                 b.segments = {fromUs(us / 2.0), fromUs(us / 2.0)};
                 CallStep cs;
                 cs.kind = CallStep::Kind::Storage;
                 cs.requestBytes = 256;
                 cs.responseBytes = 1024;
-                b.groups.push_back(CallGroup{cs});
+                b.addGroup({cs});
             } else {
                 b.segments = {fromUs(us)};
             }
-            return b;
         };
         leaves.push_back(cat.add(std::move(leaf)));
     }
@@ -118,14 +114,12 @@ buildSyntheticFanout(const FanoutParams &p)
         mid.loadWeight = 0.5;
         const ServiceId leaf = leaves[i];
         const double us = p.midUs;
-        mid.makeBehavior = [us, leaf](Rng &) {
-            Behavior b;
+        mid.makeBehavior = [us, leaf](Rng &, Behavior &b) {
             b.segments = {fromUs(us / 2.0), fromUs(us / 2.0)};
             CallStep cs;
             cs.kind = CallStep::Kind::Service;
             cs.callee = leaf;
-            b.groups.push_back(CallGroup{cs});
-            return b;
+            b.addGroup({cs});
         };
         mids.push_back(cat.add(std::move(mid)));
     }
@@ -134,18 +128,15 @@ buildSyntheticFanout(const FanoutParams &p)
     root.name = "FanRoot";
     root.endpoint = true;
     const double root_us = p.rootUs;
-    root.makeBehavior = [root_us, mids](Rng &) {
-        Behavior b;
+    root.makeBehavior = [root_us, mids](Rng &, Behavior &b) {
         b.segments = {fromUs(root_us / 2.0), fromUs(root_us / 2.0)};
-        CallGroup group;
         for (const ServiceId mid : mids) {
             CallStep cs;
             cs.kind = CallStep::Kind::Service;
             cs.callee = mid;
-            group.push_back(cs);
+            b.calls.push_back(cs);
         }
-        b.groups.push_back(std::move(group));
-        return b;
+        b.endGroup();
     };
     cat.add(std::move(root));
     return cat;

@@ -48,7 +48,8 @@ tinyConfig()
 // Critical-path extraction on a hand-built three-level tree.
 // ---------------------------------------------------------------
 
-/** Fixture state: records indexed by id, plus a lookup closure. */
+/** Fixture state: records indexed by id (map nodes stay put, so
+ *  the children pointers stay valid). */
 struct HandTree
 {
     std::map<RequestId, AttribRecord> records;
@@ -66,17 +67,8 @@ struct HandTree
         r.resolvedAt = resolved;
         r.resolved = true;
         if (parent != 0)
-            records[parent].children.push_back(id);
+            records[parent].children.push_back(&r);
         return r;
-    }
-
-    RecordLookup
-    lookup() const
-    {
-        return [this](RequestId id) -> const AttribRecord * {
-            const auto it = records.find(id);
-            return it == records.end() ? nullptr : &it->second;
-        };
     }
 };
 
@@ -118,8 +110,8 @@ TEST(CriticalPath, DescendsGatingChildOfThreeLevelTree)
     gslow.comp[static_cast<std::size_t>(
         AttribComp::BlockedOnChild)] = 15 * kUs; // storage wait
 
-    const CriticalPath path =
-        extractCriticalPath(root, t.lookup());
+    CriticalPath path;
+    extractCriticalPath(root, path);
 
     ASSERT_EQ(path.steps.size(), 3u);
     EXPECT_EQ(path.steps[0].id, 1u);
@@ -143,6 +135,12 @@ TEST(CriticalPath, DescendsGatingChildOfThreeLevelTree)
     // leaves 5us slack; the leaf's own 15us storage wait stays.
     EXPECT_EQ(at(AttribComp::BlockedOnChild), (5 + 15) * kUs);
     EXPECT_EQ(path.totalTicks, root.total());
+
+    // A reused path is replaced, not added to.
+    extractCriticalPath(root, path);
+    EXPECT_EQ(path.steps.size(), 3u);
+    EXPECT_EQ(at(AttribComp::ServiceExec), (20 + 30 + 15) * kUs);
+    EXPECT_EQ(at(AttribComp::BlockedOnChild), (5 + 15) * kUs);
 }
 
 TEST(CriticalPath, UnresolvableChildTerminatesDescent)
@@ -153,10 +151,12 @@ TEST(CriticalPath, UnresolvableChildTerminatesDescent)
         AttribComp::BlockedOnChild)] = 40 * kUs;
     root.comp[static_cast<std::size_t>(AttribComp::ServiceExec)] =
         10 * kUs;
-    root.children.push_back(99); // never registered
+    AttribRecord pending; // issued, never resolved
+    pending.id = 99;
+    root.children.push_back(&pending);
 
-    const CriticalPath path =
-        extractCriticalPath(root, t.lookup());
+    CriticalPath path;
+    extractCriticalPath(root, path);
     ASSERT_EQ(path.steps.size(), 1u);
     // Unattributable wait stays blocked-on-child.
     EXPECT_EQ(path.comp[static_cast<std::size_t>(
@@ -269,9 +269,6 @@ TEST(Attrib, InjectedBottleneckMovesRankOne)
 
 TEST(TailProfiler, KeepsTopK)
 {
-    const RecordLookup none = [](RequestId) {
-        return static_cast<const AttribRecord *>(nullptr);
-    };
     const auto makeRoot = [](RequestId id, Tick latency) {
         AttribRecord r;
         r.id = id;
@@ -284,7 +281,7 @@ TEST(TailProfiler, KeepsTopK)
 
     TailProfiler a(4);
     for (RequestId id = 1; id <= 10; ++id)
-        a.ingest(makeRoot(id, id * kUs), id * kUs, none);
+        a.ingest(makeRoot(id, id * kUs), id * kUs);
 
     ASSERT_EQ(a.endpoints().size(), 1u);
     const auto &ep = a.endpoints().begin()->second;

@@ -200,5 +200,32 @@ TEST(ClusterSim, DeterministicForFixedSeed)
     EXPECT_EQ(run(), run());
 }
 
+#ifdef __SANITIZE_ADDRESS__
+TEST(ClusterSimDeathTest, ReadOfDestroyedRequestAborts)
+{
+    // Finished requests go back to a pool instead of the allocator;
+    // the pool poisons them, so a stale pointer still trips ASan.
+    EventQueue eq;
+    const ServiceCatalog cat = buildSocialNetwork();
+    ClusterSim sim(eq, cat, uManycoreParams(), smallCluster(1));
+    ServiceRequest *root = nullptr;
+    auto complete = std::move(sim.machine(0).onRootComplete);
+    sim.machine(0).onRootComplete = [&](ServiceRequest *req) {
+        root = req;
+        complete(req);
+    };
+    sim.submitRoot(cat.endpoints().front());
+    eq.run();
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(sim.requestsInFlight(), 0u);
+    EXPECT_DEATH(
+        {
+            const volatile ReqState state = root->state;
+            (void)state;
+        },
+        "use-after-poison");
+}
+#endif
+
 } // namespace
 } // namespace umany

@@ -128,7 +128,7 @@ TEST_P(SingleRequestTest, CompletesWithPlausibleLatency)
     b.segments = {fromUs(50.0), fromUs(30.0)};
     CallStep storage;
     storage.kind = CallStep::Kind::Storage;
-    b.groups = {{storage}};
+    b.addGroup({storage});
 
     ServiceRequest req(1, 0, b);
     req.reqBytes = 512;
@@ -174,7 +174,7 @@ TEST(Machine, ParallelCallGroupWaitsForAllResponses)
     b.segments = {fromUs(10.0), fromUs(10.0)};
     CallStep s;
     s.kind = CallStep::Kind::Storage;
-    b.groups = {{s, s, s}}; // three parallel calls
+    b.addGroup({s, s, s}); // three parallel calls
 
     ServiceRequest req(1, 0, b);
     ServiceRequest *done = nullptr;

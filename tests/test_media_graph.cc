@@ -28,12 +28,13 @@ TEST(MediaService, BehavioursWellFormedAndResolvable)
 {
     const ServiceCatalog cat = buildMediaService();
     Rng rng(1);
+    Behavior b;
     for (ServiceId s = 0; s < cat.size(); ++s) {
         for (int i = 0; i < 30; ++i) {
-            const Behavior b = cat.makeBehavior(s, rng);
+            cat.makeBehavior(s, rng, b);
             EXPECT_TRUE(b.wellFormed());
-            for (const CallGroup &g : b.groups) {
-                for (const CallStep &c : g) {
+            for (std::size_t g = 0; g < b.blockingCalls(); ++g) {
+                for (const CallStep &c : b.group(g)) {
                     if (c.kind == CallStep::Kind::Service) {
                         EXPECT_LT(c.callee, cat.size());
                     }
@@ -47,12 +48,12 @@ TEST(MediaService, ComposeReviewIsHeaviest)
 {
     const ServiceCatalog cat = buildMediaService();
     Rng rng(2);
+    Behavior b;
     auto mean_work = [&](const char *name) {
         double total = 0.0;
         for (int i = 0; i < 200; ++i) {
-            total += static_cast<double>(
-                cat.makeBehavior(cat.byName(name)->id, rng)
-                    .totalWork());
+            cat.makeBehavior(cat.byName(name)->id, rng, b);
+            total += static_cast<double>(b.totalWork());
         }
         return total;
     };

@@ -14,9 +14,13 @@
 #include "arch/presets.hh"
 #include "driver/report.hh"
 #include "fault/fault_plan.hh"
+#include "obs/attrib.hh"
+#include "obs/tail_profiler.hh"
 #include "rack/rack_experiment.hh"
 #include "sim/logging.hh"
+#include "stats/stats_dump.hh"
 #include "workload/app_graph.hh"
+#include "workload/loadgen.hh"
 
 namespace umany
 {
@@ -160,6 +164,47 @@ TEST(Rack, SameSeedReplaysByteIdentically)
     const RunMetrics m2 = runRackExperiment(catalog, cfg, &s2);
     EXPECT_EQ(metricsJson(m1), metricsJson(m2));
     EXPECT_EQ(s1.formatJson(), s2.formatJson());
+}
+
+TEST(Rack, DrainedLedgerRunLeavesNothingLiveAndReplays)
+{
+    // Requests, ledger records and rack contexts are all recycled:
+    // a drained 2-package run with the ledger on must hand every one
+    // back, and a fresh simulator must replay it byte for byte.
+    const ServiceCatalog catalog = buildSocialNetwork();
+    const auto run = [&catalog]() {
+        AttribRegistry ledger;
+        ScopedAttrib scope(&ledger);
+        EventQueue eq;
+        RackSimParams rp;
+        rp.packages = 2;
+        rp.replica.kind = DispatchKind::Po2c;
+        rp.cluster.numServers = 2;
+        rp.cluster.seed = 11;
+        RackSim rack(eq, catalog, {uManycoreParams()}, rp);
+        LoadGenParams lp;
+        lp.rps = 4 * 15000.0;
+        lp.kind = ArrivalKind::Bursty;
+        lp.stop = fromMs(20.0);
+        lp.seed = 11;
+        lp.streams = rp.packages;
+        LoadGenerator gen(eq, catalog, lp, [&rack](ServiceId ep) {
+            rack.submitRoot(ep);
+        });
+        gen.start();
+        eq.run();
+
+        EXPECT_GT(rack.completedRoots(), 0u);
+        EXPECT_GT(ledger.rootsObserved(), 0u);
+        EXPECT_EQ(rack.requestsInFlight(), 0u);
+        EXPECT_EQ(ledger.liveRecords(), 0u);
+        EXPECT_EQ(rack.pendingRoots(), 0u);
+        return collectStats(rack.package(0)).formatJson() +
+               collectStats(rack.package(1)).formatJson() +
+               ledger.profiler().toJson({});
+    };
+    const std::string first = run();
+    EXPECT_EQ(run(), first);
 }
 
 TEST(Rack, RackRunConservesRootsAndChargesHops)

@@ -8,10 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <vector>
+
+#include "obs/attrib.hh"
 #include "sched/dispatcher.hh"
 #include "sched/hw_rq.hh"
 #include "sched/queue_system.hh"
 #include "sched/service_map.hh"
+#include "sim/rng.hh"
 
 namespace umany
 {
@@ -31,10 +38,13 @@ TEST(Behavior, WellFormedRules)
     EXPECT_FALSE(empty.wellFormed());
     Behavior mismatched{{1, 2}, {}};
     EXPECT_FALSE(mismatched.wellFormed());
-    Behavior empty_group{{1, 2}, {CallGroup{}}};
+    Behavior empty_group{{1, 2}, {}, {0}};
     EXPECT_FALSE(empty_group.wellFormed());
-    Behavior good{{1, 2}, {CallGroup{CallStep{}}}};
+    Behavior uncovered{{1, 2}, {CallStep{}, CallStep{}}, {1}};
+    EXPECT_FALSE(uncovered.wellFormed());
+    Behavior good{{1, 2}, {CallStep{}}, {1}};
     EXPECT_TRUE(good.wellFormed());
+    EXPECT_EQ(good.group(0).size(), 1u);
     EXPECT_EQ(good.totalWork(), 3u);
     EXPECT_EQ(good.blockingCalls(), 1u);
 }
@@ -69,6 +79,147 @@ TEST(ReadyList, PopBackForStealing)
     list.insert(2, &b);
     EXPECT_EQ(list.popBack(), &b);
     EXPECT_EQ(list.popBack(), &a);
+}
+
+TEST(ReadyListDeathTest, DuplicateSeqPanicsNamingIt)
+{
+    // A second entry with a listed seq would never run; the list
+    // refuses it loudly instead of dropping it.
+    ReadyList list;
+    ServiceRequest a(1, 0, simpleBehavior());
+    ServiceRequest b(2, 0, simpleBehavior());
+    list.insert(5, &a);
+    list.insert(9, &a);
+    EXPECT_DEATH(list.insert(5, &b), "duplicate seq 5");
+    EXPECT_DEATH(list.insert(9, &b), "duplicate seq 9");
+}
+
+TEST(ReadyListFuzz, MatchesMapReference)
+{
+    // Fresh arrivals carry increasing seqs; a popped request may
+    // come back later with its old seq, as an unblocked request
+    // does. Each round grows the list past 4,096 entries, the depth
+    // a saturated software queue reaches, then drains it to empty;
+    // every operation is checked against a std::map.
+    Rng rng(0x5eed);
+    std::deque<ServiceRequest> reqs; // reqs[seq - 1] carries seq
+    std::map<std::uint64_t, ServiceRequest *> ref;
+    std::vector<std::uint64_t> parked; // popped, may come back
+    ReadyList list;
+    std::uint64_t mismatches = 0;
+    std::size_t peak = 0;
+
+    const auto step = [&](double fresh, double back, double front) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (u < fresh || (u < fresh + back && parked.empty())) {
+            const std::uint64_t seq = reqs.size() + 1;
+            reqs.emplace_back(seq, 0, simpleBehavior());
+            list.insert(seq, &reqs.back());
+            ref.emplace(seq, &reqs.back());
+        } else if (u < fresh + back) {
+            const std::size_t i = rng.below(parked.size());
+            const std::uint64_t seq = parked[i];
+            parked[i] = parked.back();
+            parked.pop_back();
+            list.insert(seq, &reqs[seq - 1]);
+            ref.emplace(seq, &reqs[seq - 1]);
+        } else {
+            const bool oldest = u < fresh + back + front;
+            ServiceRequest *got =
+                oldest ? list.popFront() : list.popBack();
+            ServiceRequest *want = nullptr;
+            if (!ref.empty()) {
+                const auto it =
+                    oldest ? ref.begin() : std::prev(ref.end());
+                want = it->second;
+                ref.erase(it);
+            }
+            mismatches += got != want;
+            if (got != nullptr && rng.chance(0.5))
+                parked.push_back(got->id());
+        }
+        mismatches += list.size() != ref.size();
+        mismatches += list.empty() != ref.empty();
+        peak = std::max(peak, list.size());
+    };
+
+    for (int round = 0; round < 4 && mismatches == 0; ++round) {
+        const std::size_t target = 4096 + rng.below(2048);
+        while (ref.size() < target && mismatches == 0)
+            step(0.45, 0.2, 0.25);
+        while (!ref.empty() && mismatches == 0)
+            step(0.1, 0.1, 0.55);
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GE(peak, 4096u);
+    EXPECT_TRUE(list.empty());
+}
+
+TEST(ServiceRequest, ResetMatchesFreshConstruction)
+{
+    // A recycled request keeps its Behavior's capacity and nothing
+    // else.
+    ServiceRequest parent(1, 0, simpleBehavior());
+    AttribRecord rec;
+    ServiceRequest used(2, 3, Behavior{{1, 2, 3}, {CallStep{}}, {1}});
+    used.parent = &parent;
+    used.pendingChildren = 2;
+    used.blockedGroup = 1;
+    used.server = 4;
+    used.village = 5;
+    used.lastCore = 6;
+    used.segIndex = 2;
+    used.state = ReqState::Finished;
+    used.createdAt = 10;
+    used.enqueuedAt = 11;
+    used.finishedAt = 12;
+    used.queuedTime = 13;
+    used.blockedTime = 14;
+    used.runningTime = 15;
+    used.contextSwitches = 16;
+    used.rootEndpoint = 17;
+    used.rackCtx = 18;
+    used.seq = 19;
+    used.queueId = 20;
+    used.pendingOverhead = 21;
+    used.respBytes = 22;
+    used.reqBytes = 23;
+    used.rejected = true;
+    used.attrib = &rec;
+    const std::size_t segs = used.behavior().segments.capacity();
+    const std::size_t calls = used.behavior().calls.capacity();
+
+    used.reset(7, 8);
+    const ServiceRequest fresh(7, 8, Behavior{});
+    EXPECT_EQ(used.id(), fresh.id());
+    EXPECT_EQ(used.service(), fresh.service());
+    EXPECT_EQ(used.parent, fresh.parent);
+    EXPECT_EQ(used.pendingChildren, fresh.pendingChildren);
+    EXPECT_EQ(used.blockedGroup, fresh.blockedGroup);
+    EXPECT_EQ(used.server, fresh.server);
+    EXPECT_EQ(used.village, fresh.village);
+    EXPECT_EQ(used.lastCore, fresh.lastCore);
+    EXPECT_EQ(used.segIndex, fresh.segIndex);
+    EXPECT_EQ(used.state, fresh.state);
+    EXPECT_EQ(used.createdAt, fresh.createdAt);
+    EXPECT_EQ(used.enqueuedAt, fresh.enqueuedAt);
+    EXPECT_EQ(used.finishedAt, fresh.finishedAt);
+    EXPECT_EQ(used.queuedTime, fresh.queuedTime);
+    EXPECT_EQ(used.blockedTime, fresh.blockedTime);
+    EXPECT_EQ(used.runningTime, fresh.runningTime);
+    EXPECT_EQ(used.contextSwitches, fresh.contextSwitches);
+    EXPECT_EQ(used.rootEndpoint, fresh.rootEndpoint);
+    EXPECT_EQ(used.rackCtx, fresh.rackCtx);
+    EXPECT_EQ(used.seq, fresh.seq);
+    EXPECT_EQ(used.queueId, fresh.queueId);
+    EXPECT_EQ(used.pendingOverhead, fresh.pendingOverhead);
+    EXPECT_EQ(used.respBytes, fresh.respBytes);
+    EXPECT_EQ(used.reqBytes, fresh.reqBytes);
+    EXPECT_EQ(used.rejected, fresh.rejected);
+    EXPECT_EQ(used.attrib, fresh.attrib);
+    EXPECT_EQ(used.behavior(), fresh.behavior());
+    EXPECT_GE(used.behavior().segments.capacity(), segs);
+    EXPECT_GE(used.behavior().calls.capacity(), calls);
 }
 
 SwQueueParams

@@ -13,6 +13,7 @@
 #include "workload/alibaba.hh"
 #include "workload/app_graph.hh"
 #include "workload/loadgen.hh"
+#include "workload/media_graph.hh"
 #include "workload/synthetic.hh"
 
 namespace umany
@@ -25,7 +26,7 @@ TEST(ServiceCatalog, AssignsDenseIds)
     ServiceCatalog cat;
     ServiceSpec s;
     s.name = "a";
-    s.makeBehavior = [](Rng &) { return Behavior{{1}, {}}; };
+    s.makeBehavior = [](Rng &, Behavior &b) { b.segments = {1}; };
     const ServiceId a = cat.add(s);
     s.name = "b";
     const ServiceId b = cat.add(s);
@@ -57,9 +58,10 @@ TEST(SocialNetwork, BehavioursAreWellFormed)
 {
     const ServiceCatalog cat = buildSocialNetwork();
     Rng rng(1);
+    Behavior b;
     for (ServiceId s = 0; s < cat.size(); ++s) {
         for (int i = 0; i < 50; ++i) {
-            const Behavior b = cat.makeBehavior(s, rng);
+            cat.makeBehavior(s, rng, b);
             EXPECT_TRUE(b.wellFormed());
             EXPECT_GT(b.totalWork(), 0u);
         }
@@ -71,11 +73,13 @@ TEST(SocialNetwork, CPostIsTheHeaviestEndpoint)
     const ServiceCatalog cat = buildSocialNetwork();
     Rng rng(2);
     std::map<std::string, double> work;
+    Behavior b;
     for (const ServiceId ep : cat.endpoints()) {
         Summary s;
-        for (int i = 0; i < 200; ++i)
-            s.add(static_cast<double>(
-                cat.makeBehavior(ep, rng).totalWork()));
+        for (int i = 0; i < 200; ++i) {
+            cat.makeBehavior(ep, rng, b);
+            s.add(static_cast<double>(b.totalWork()));
+        }
         work[cat.at(ep).name] = s.mean();
     }
     for (const auto &[name, w] : work) {
@@ -92,15 +96,48 @@ TEST(SocialNetwork, NestedCalleesResolve)
     Rng rng(3);
     // Every Service call in every behaviour must reference a valid
     // service id.
+    Behavior b;
     for (ServiceId s = 0; s < cat.size(); ++s) {
         for (int i = 0; i < 20; ++i) {
-            const Behavior b = cat.makeBehavior(s, rng);
-            for (const CallGroup &g : b.groups) {
-                for (const CallStep &c : g) {
+            cat.makeBehavior(s, rng, b);
+            for (std::size_t g = 0; g < b.blockingCalls(); ++g) {
+                for (const CallStep &c : b.group(g)) {
                     if (c.kind == CallStep::Kind::Service) {
                         EXPECT_LT(c.callee, cat.size());
                     }
                 }
+            }
+        }
+    }
+}
+
+TEST(BehaviorRecycling, RefillEqualsFreshFillInEveryCatalog)
+{
+    // A pooled request refills a Behavior that another service
+    // filled before: the result, and the draws it made, must be
+    // those of a fresh fill.
+    SyntheticParams wide;
+    wide.minCalls = 0;
+    wide.maxCalls = 8;
+    const ServiceCatalog catalogs[] = {
+        buildSocialNetwork(), buildMediaService(), buildSynthetic(wide),
+        buildSyntheticFanout(FanoutParams{})};
+    for (const ServiceCatalog &cat : catalogs) {
+        for (ServiceId prev = 0; prev < cat.size(); ++prev) {
+            for (ServiceId s = 0; s < cat.size(); ++s) {
+                Behavior reused;
+                Rng before(prev + 100);
+                cat.makeBehavior(prev, before, reused);
+
+                Rng fresh_rng(s + 7);
+                Rng reused_rng(s + 7);
+                Behavior fresh;
+                cat.makeBehavior(s, fresh_rng, fresh);
+                cat.makeBehavior(s, reused_rng, reused);
+                EXPECT_EQ(reused, fresh)
+                    << cat.at(s).name << " after " << cat.at(prev).name;
+                EXPECT_EQ(reused_rng.next(), fresh_rng.next())
+                    << cat.at(s).name << " after " << cat.at(prev).name;
             }
         }
     }
@@ -113,8 +150,9 @@ TEST(Synthetic, CallCountWithinRange)
     p.maxCalls = 6;
     const ServiceCatalog cat = buildSynthetic(p);
     Rng rng(5);
+    Behavior b;
     for (int i = 0; i < 500; ++i) {
-        const Behavior b = cat.makeBehavior(0, rng);
+        cat.makeBehavior(0, rng, b);
         EXPECT_GE(b.blockingCalls(), 2u);
         EXPECT_LE(b.blockingCalls(), 6u);
         EXPECT_TRUE(b.wellFormed());
@@ -131,8 +169,10 @@ TEST(Synthetic, DistributionsHaveConfiguredMean)
         p.dist = d;
         const ServiceCatalog cat = buildSynthetic(p);
         Summary s;
+        Behavior b;
         for (int i = 0; i < 20000; ++i) {
-            s.add(toUs(cat.makeBehavior(0, rng).totalWork()));
+            cat.makeBehavior(0, rng, b);
+            s.add(toUs(b.totalWork()));
         }
         // Bimodal mean: 0.87*500 + 0.13*12000 = 1995.
         EXPECT_NEAR(s.mean(), 2000.0, 220.0) << synthDistName(d);
@@ -150,11 +190,12 @@ TEST(Synthetic, LognormalHasHeaviestTail)
     const ServiceCatalog cl = buildSynthetic(pl);
     double max_e = 0.0;
     double max_l = 0.0;
+    Behavior b;
     for (int i = 0; i < 20000; ++i) {
-        max_e = std::max(max_e,
-                         toUs(ce.makeBehavior(0, rng).totalWork()));
-        max_l = std::max(max_l,
-                         toUs(cl.makeBehavior(0, rng).totalWork()));
+        ce.makeBehavior(0, rng, b);
+        max_e = std::max(max_e, toUs(b.totalWork()));
+        cl.makeBehavior(0, rng, b);
+        max_l = std::max(max_l, toUs(b.totalWork()));
     }
     EXPECT_GT(max_l, max_e);
 }
