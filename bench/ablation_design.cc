@@ -11,19 +11,6 @@
 using namespace umany;
 using namespace umany::bench;
 
-namespace
-{
-
-RunMetrics
-run(const ServiceCatalog &catalog, const MachineParams &mp,
-    const BenchArgs &args, ArrivalKind arrivals, double rps)
-{
-    return runExperiment(catalog,
-                         evalConfig(mp, rps, args, arrivals));
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -39,6 +26,16 @@ main(int argc, char **argv)
     Table t({"knob", "machine", "P99 off/base (ms)",
              "P99 on/ablated (ms)", "effect"});
 
+    // Two runs per knob, six knobs; each run writes its own
+    // artifacts.
+    const std::size_t npoints = 12;
+    std::size_t point = 0;
+    auto p99 = [&](const MachineParams &mp, ArrivalKind arrivals) {
+        ExperimentConfig cfg = evalConfig(mp, rps, args, arrivals);
+        cfg.obs = obsForPoint(args.obs, point++, npoints);
+        return runExperiment(catalog, cfg).overall.p99Ms;
+    };
+
     auto addRow = [&](const char *knob, const char *machine,
                       double base, double ablated) {
         t.addRow({knob, machine, Table::num(base, 3),
@@ -51,12 +48,8 @@ main(int argc, char **argv)
     {
         const MachineParams mp = serverClassParams();
         std::fprintf(stderr, "arrivals ablation...\n");
-        const double bursty =
-            run(catalog, mp, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double poisson =
-            run(catalog, mp, args, ArrivalKind::Poisson, rps)
-                .overall.p99Ms;
+        const double bursty = p99(mp, ArrivalKind::Bursty);
+        const double poisson = p99(mp, ArrivalKind::Poisson);
         addRow("bursty arrivals", "ServerClass", poisson, bursty);
     }
 
@@ -70,12 +63,8 @@ main(int argc, char **argv)
         no_tax.nic.swRxCycles = 0;
         no_tax.nic.swTxCycles = 0;
         std::fprintf(stderr, "rpc-tax ablation...\n");
-        const double with_tax =
-            run(catalog, base, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double without =
-            run(catalog, no_tax, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
+        const double with_tax = p99(base, ArrivalKind::Bursty);
+        const double without = p99(no_tax, ArrivalKind::Bursty);
         addRow("sw RPC tax", "ScaleOut", without, with_tax);
     }
 
@@ -88,12 +77,8 @@ main(int argc, char **argv)
         light.dispatcher.opCycles = 100;
         light.cs = contextSwitchModel(CsScheme::HardwareRq);
         std::fprintf(stderr, "dispatcher ablation...\n");
-        const double heavy =
-            run(catalog, base, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double cheap =
-            run(catalog, light, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
+        const double heavy = p99(base, ArrivalKind::Bursty);
+        const double cheap = p99(light, ArrivalKind::Bursty);
         addRow("centralized sw scheduler", "ScaleOut", cheap, heavy);
     }
 
@@ -103,12 +88,8 @@ main(int argc, char **argv)
         MachineParams off = base;
         off.icnContention = false;
         std::fprintf(stderr, "icn ablation...\n");
-        const double on =
-            run(catalog, base, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double noc =
-            run(catalog, off, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
+        const double on = p99(base, ArrivalKind::Bursty);
+        const double noc = p99(off, ArrivalKind::Bursty);
         addRow("ICN contention", "ScaleOut", noc, on);
     }
 
@@ -118,12 +99,8 @@ main(int argc, char **argv)
         const MachineParams big =
             uManycoreConfigParams(16, 2, 32);
         std::fprintf(stderr, "village-size ablation...\n");
-        const double small_v =
-            run(catalog, base, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double big_v =
-            run(catalog, big, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
+        const double small_v = p99(base, ArrivalKind::Bursty);
+        const double big_v = p99(big, ArrivalKind::Bursty);
         addRow("16-core villages", "uManycore", small_v, big_v);
     }
 
@@ -134,12 +111,8 @@ main(int argc, char **argv)
         hetero.bigVillageFraction = 0.25;
         hetero.bigVillagePerfFactor = 0.75;
         std::fprintf(stderr, "hetero-villages ablation...\n");
-        const double homo =
-            run(catalog, base, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
-        const double het =
-            run(catalog, hetero, args, ArrivalKind::Bursty, rps)
-                .overall.p99Ms;
+        const double homo = p99(base, ArrivalKind::Bursty);
+        const double het = p99(hetero, ArrivalKind::Bursty);
         addRow("25% big villages (s8)", "uManycore", homo, het);
     }
 

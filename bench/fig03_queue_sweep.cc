@@ -38,6 +38,8 @@ main(int argc, char **argv)
 
     Table t({"queues", "avg (ms)", "tail (ms)", "avg steal (ms)",
              "tail steal (ms)"});
+    const std::size_t npoints = 2 * queue_counts.size();
+    std::size_t point = 0;
     for (const std::uint32_t q : queue_counts) {
         double avg[2];
         double tail[2];
@@ -53,9 +55,10 @@ main(int argc, char **argv)
             BenchArgs one = args;
             one.servers = 1;
             std::fprintf(stderr, "queues=%u steal=%d...\n", q, steal);
-            const RunMetrics m = runExperiment(
-                catalog,
-                evalConfig(mp, rps, one, ArrivalKind::Bursty));
+            ExperimentConfig cfg =
+                evalConfig(mp, rps, one, ArrivalKind::Bursty);
+            cfg.obs = obsForPoint(args.obs, point++, npoints);
+            const RunMetrics m = runExperiment(catalog, cfg);
             avg[steal] = m.overall.avgMs;
             tail[steal] = m.overall.p99Ms;
         }

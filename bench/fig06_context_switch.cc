@@ -53,9 +53,11 @@ main(int argc, char **argv)
             one.servers = 1;
             std::fprintf(stderr, "cs=%u rps=%.0f...\n",
                          cs_cycles[ci], loads[li]);
-            const RunMetrics m = runExperiment(
-                catalog, evalConfig(mp, loads[li], one,
-                                    ArrivalKind::Bursty));
+            ExperimentConfig cfg =
+                evalConfig(mp, loads[li], one, ArrivalKind::Bursty);
+            cfg.obs = obsForPoint(args.obs, li * cs_cycles.size() + ci,
+                                  loads.size() * cs_cycles.size());
+            const RunMetrics m = runExperiment(catalog, cfg);
             tails[ci][li] = m.overall.p99Ms;
         }
     }

@@ -21,7 +21,8 @@ namespace
 
 double
 tailWithContention(const ServiceCatalog &catalog, MachineParams mp,
-                   double rps, const BenchArgs &args, bool contention)
+                   double rps, const BenchArgs &args, bool contention,
+                   const ObsConfig &obs)
 {
     mp.icnContention = contention;
     // Focus on ICN effects: hardware-cost context switching keeps
@@ -31,6 +32,7 @@ tailWithContention(const ServiceCatalog &catalog, MachineParams mp,
     one.servers = 1;
     ExperimentConfig cfg =
         evalConfig(mp, rps, one, ArrivalKind::Bursty);
+    cfg.obs = obs;
     // Saturated configurations would otherwise be bounded only by
     // the drain limit; a fixed horizon keeps ratios comparable.
     cfg.drainLimit = fromMs(400.0);
@@ -67,15 +69,19 @@ main(int argc, char **argv)
 
     Table t({"load", "2D Mesh (x)", "Fat Tree (x)",
              "Leaf-Spine (x)"});
+    const std::size_t npoints = 2 * loads.size() * topos.size();
+    std::size_t point = 0;
     for (const double rps : loads) {
         std::vector<std::string> row{
             strprintf("%.0fK-RPS", rps / 1000.0)};
         for (const TopoCase &tc : topos) {
             std::fprintf(stderr, "%s @%.0f...\n", tc.name, rps);
             const double with = tailWithContention(
-                catalog, tc.params, rps, args, true);
+                catalog, tc.params, rps, args, true,
+                obsForPoint(args.obs, point++, npoints));
             const double without = tailWithContention(
-                catalog, tc.params, rps, args, false);
+                catalog, tc.params, rps, args, false,
+                obsForPoint(args.obs, point++, npoints));
             row.push_back(
                 Table::num(without > 0.0 ? with / without : 0.0, 2));
         }

@@ -42,11 +42,12 @@ main(int argc, char **argv)
     std::vector<std::string> names;
     for (const Cfg &c : cfgs) {
         std::fprintf(stderr, "running %s...\n", c.name);
-        names.emplace_back(c.name);
-        runs.push_back(runExperiment(
-            catalog,
+        ExperimentConfig cfg =
             evalConfig(uManycoreConfigParams(c.cpv, c.vpc, c.clusters),
-                       rps, args, ArrivalKind::Bursty)));
+                       rps, args, ArrivalKind::Bursty);
+        cfg.obs = obsForPoint(args.obs, names.size(), cfgs.size());
+        names.emplace_back(c.name);
+        runs.push_back(runExperiment(catalog, cfg));
     }
 
     printNormalizedByApp("Fig 19: per-app tail latency by config",

@@ -50,15 +50,18 @@ main(int argc, char **argv)
     Table t({"load", "SC-128 P99 (ms)", "uManycore P99 (ms)",
              "reduction"});
     Summary red;
+    std::size_t point = 0;
+    auto runPoint = [&](const MachineParams &mp, double rps) {
+        ExperimentConfig cfg =
+            evalConfig(mp, rps, args, ArrivalKind::Bursty);
+        cfg.obs = obsForPoint(args.obs, point++, 2 * loads.size());
+        return runExperiment(catalog, cfg);
+    };
     for (const double rps : loads) {
         std::fprintf(stderr, "running @%.0f...\n", rps);
-        const RunMetrics sc = runExperiment(
-            catalog, evalConfig(serverClassParams(iso_area_cores),
-                                rps, args, ArrivalKind::Bursty));
-        const RunMetrics umm = runExperiment(
-            catalog,
-            evalConfig(uManycoreParams(), rps, args,
-                       ArrivalKind::Bursty));
+        const RunMetrics sc =
+            runPoint(serverClassParams(iso_area_cores), rps);
+        const RunMetrics umm = runPoint(uManycoreParams(), rps);
         const double r = umm.overall.p99Ms > 0.0
                              ? sc.overall.p99Ms / umm.overall.p99Ms
                              : 0.0;

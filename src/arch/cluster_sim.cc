@@ -12,7 +12,7 @@ namespace umany
 {
 
 Tick
-RecoveryParams::backoffDelay(std::uint32_t attempt) const
+RecoveryParams::backoffDelay(std::uint32_t attempt)
 {
     // base * factor^(attempt - 1), saturating at the cap. Purely
     // deterministic: retry schedules replay exactly under one seed.
@@ -53,27 +53,21 @@ ClusterSim::ClusterSim(EventQueue &eq, const ServiceCatalog &catalog,
     perEndpoint_.resize(catalog_.size());
     qosThreshold_.assign(catalog_.size(), 0);
 
-    if (p_.recovery.enabled) {
-        // Retries conserve the request lifecycle: every launched
-        // attempt resolves exactly once (response, stale response,
-        // or timeout), and no task survives a clean drain.
-        UMANY_INVARIANT(InvariantChecker::active()->addFinalAuditor(
-            "cluster.recovery", [this](InvariantChecker &ic) {
-                ic.expect(tasks_.empty(),
-                          "%zu root tasks still open after drain",
-                          tasks_.size());
-                ic.expect(reqTask_.empty(),
-                          "%zu attempts still mapped after drain",
-                          reqTask_.size());
-                ic.expect(attemptsLaunched_ == attemptsResolved_,
-                          "attempt leak: %llu launched vs %llu "
-                          "resolved",
-                          static_cast<unsigned long long>(
-                              attemptsLaunched_),
-                          static_cast<unsigned long long>(
-                              attemptsResolved_));
-            }));
-    }
+    // Roots conserve the request lifecycle: every launched attempt
+    // resolves exactly once (response, stale response, or timeout),
+    // and no task survives a clean drain.
+    UMANY_INVARIANT(InvariantChecker::active()->addFinalAuditor(
+        "cluster.tasks", [this](InvariantChecker &ic) {
+            ic.expect(tasks_.size() == freeTasks_.size(),
+                      "%zu root tasks still open after drain",
+                      tasks_.size() - freeTasks_.size());
+            ic.expect(attemptsLaunched_ == attemptsResolved_,
+                      "attempt leak: %llu launched vs %llu resolved",
+                      static_cast<unsigned long long>(
+                          attemptsLaunched_),
+                      static_cast<unsigned long long>(
+                          attemptsResolved_));
+        }));
 }
 
 ClusterSim::~ClusterSim() = default;
@@ -140,8 +134,8 @@ void
 ClusterSim::wireServer(ServerId s)
 {
     Machine &m = servers_[s]->machine();
-    m.onRootComplete = [this, s](ServiceRequest *req) {
-        handleRootComplete(s, req);
+    m.onRootComplete = [this](ServiceRequest *req) {
+        handleRootComplete(req);
     };
     m.onStorageCall = [this, s](ServiceRequest *parent,
                                 const CallStep &step) {
@@ -203,77 +197,52 @@ ClusterSim::destroy(ServiceRequest *req)
 }
 
 void
-ClusterSim::submitRoot(ServiceId endpoint)
+ClusterSim::submitRoot(ServiceId endpoint, const LbRecord &lb)
 {
-    submitRoot(endpoint, 0);
-}
-
-void
-ClusterSim::submitRoot(ServiceId endpoint, std::uint64_t rack_ctx)
-{
-    if (p_.recovery.enabled) {
-        const std::uint64_t task_id = nextTask_++;
-        RootTask &t = tasks_[task_id];
-        t.endpoint = endpoint;
-        t.firstSubmit = eq_.now();
-        t.rackCtx = rack_ctx;
-        launchAttempt(task_id);
-        return;
+    std::uint32_t slot;
+    if (freeTasks_.empty()) {
+        slot = static_cast<std::uint32_t>(tasks_.size());
+        tasks_.emplace_back();
+    } else {
+        slot = freeTasks_.back();
+        freeTasks_.pop_back();
     }
-
-    ServiceRequest *req = makeRequest(endpoint, nullptr);
-    req->rackCtx = rack_ctx;
-    req->rootEndpoint = endpoint;
-    req->reqBytes = 512;
-    req->respBytes = 2048;
-
-    const ServerId target = rrServer_++ % servers_.size();
-    UMANY_TRACE({
-        traceReqCreated(eq_.now(), *req, target, p_.tracePidBase);
-        if (rack_ctx != 0) {
-            // Terminate the LB's dispatch arrow on the root's first
-            // span inside this package.
-            TraceSink::active()->flowEnd(
-                eq_.now(), p_.tracePidBase + target, 0, "rack.req",
-                traceRackReqFlowBit | rack_ctx);
-        }
-    });
-    const Tick arrive =
-        eq_.now() +
-        servers_[target]->machine().topNic().params().extLatency;
-    eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
-                 [this, req, target]() {
-        servers_[target]->machine().externalArrival(req);
-    });
+    RootTask &t = tasks_[slot];
+    t.firstSubmit = eq_.now();
+    t.lb = lb;
+    t.trace = nextTrace_++;
+    t.attempt = 0;
+    t.endpoint = endpoint;
+    launchAttempt(slot);
 }
 
 void
-ClusterSim::launchAttempt(std::uint64_t task_id)
+ClusterSim::launchAttempt(std::uint32_t slot)
 {
-    RootTask &t = tasks_[task_id];
+    RootTask &t = tasks_[slot];
     t.attempt += 1;
-    t.generation += 1;
-    const std::uint64_t gen = t.generation;
+    const std::uint32_t gen = ++t.generation;
     ++attemptsLaunched_;
 
     ServiceRequest *req = makeRequest(t.endpoint, nullptr);
+    req->taskSlot = slot;
     req->rootEndpoint = t.endpoint;
-    req->reqBytes = 512;
-    req->respBytes = 2048;
-    t.inFlight = req->id();
-    reqTask_.emplace(req->id(), task_id);
+    req->reqBytes = rootReqBytes;
+    req->respBytes = rootRespBytes;
+    t.inFlight = req;
 
-    // Round-robin over servers like the legacy path; a retry
-    // naturally lands on a different server than the attempt that
-    // timed out.
+    // Round-robin over servers; a retry naturally lands on a
+    // different server than the attempt that timed out.
     const ServerId target = rrServer_++ % servers_.size();
     t.lastTarget = target;
     UMANY_TRACE({
         traceReqCreated(eq_.now(), *req, target, p_.tracePidBase);
-        if (t.rackCtx != 0 && t.attempt == 1) {
+        if (t.lb.ctx != 0 && t.attempt == 1) {
+            // Terminate the LB's dispatch arrow on the root's first
+            // span inside this package.
             TraceSink::active()->flowEnd(
                 eq_.now(), p_.tracePidBase + target, 0, "rack.req",
-                traceRackReqFlowBit | t.rackCtx);
+                traceRackReqFlowBit | t.lb.ctx);
         }
     });
     const Tick arrive =
@@ -284,36 +253,32 @@ ClusterSim::launchAttempt(std::uint64_t task_id)
         servers_[target]->machine().externalArrival(req);
     });
 
-    // The event queue has no cancel primitive: the timeout carries
-    // the attempt generation and no-ops once the attempt resolved.
-    eq_.schedule(eq_.now() + p_.recovery.timeout,
-                 EvTag{EvSrc::ClientRetry},
-                 [this, task_id, gen]() {
-                     onAttemptTimeout(task_id, gen);
-                 });
+    if (p_.recovery.enabled) {
+        // The event queue has no cancel primitive: the deadline
+        // carries the generation and no-ops once the attempt
+        // resolved.
+        eq_.schedule(eq_.now() + RecoveryParams::timeout,
+                     EvTag{EvSrc::ClientRetry}, [this, slot, gen]() {
+            onAttemptTimeout(slot, gen);
+        });
+    }
 }
 
 void
-ClusterSim::onAttemptTimeout(std::uint64_t task_id,
-                             std::uint64_t gen)
+ClusterSim::onAttemptTimeout(std::uint32_t slot, std::uint32_t gen)
 {
-    auto it = tasks_.find(task_id);
-    if (it == tasks_.end() || it->second.generation != gen)
+    RootTask &t = tasks_[slot];
+    if (t.generation != gen)
         return; // The attempt resolved before the deadline.
-    RootTask &t = it->second;
     if (recording_)
         ++timeouts_;
     UMANY_TRACE(TraceSink::active()->instant(
         eq_.now(), p_.tracePidBase + t.lastTarget, traceClientTrack,
-        "recovery.timeout", task_id));
+        "recovery.timeout", t.trace));
 
-    // Abandon the in-flight attempt: sever the mapping so its
-    // eventual response is recognized as stale.
-    if (t.inFlight != 0) {
-        reqTask_.erase(t.inFlight);
-        t.inFlight = 0;
-    }
-    if (t.attempt > p_.recovery.maxRetries) {
+    // Abandon the in-flight attempt: its eventual response is stale.
+    t.inFlight = nullptr;
+    if (t.attempt > RecoveryParams::maxRetries) {
         // Retry budget exhausted: the client gives up.
         if (recording_) {
             ++observedRoots_;
@@ -322,43 +287,42 @@ ClusterSim::onAttemptTimeout(std::uint64_t task_id,
         }
         UMANY_TRACE(TraceSink::active()->instant(
             eq_.now(), p_.tracePidBase + t.lastTarget, traceClientTrack,
-            "recovery.giveup", task_id));
-        // A rack-routed root still owes the rack its context back
-        // (no response ever crosses the rack network on a give-up).
-        if (t.rackCtx != 0 && onRackRootDone)
-            onRackRootDone(nullptr, t.rackCtx, 0, false);
-        tasks_.erase(it);
+            "recovery.giveup", t.trace));
+        // A rack-routed root still owes the rack its record back (no
+        // response ever crosses the rack network on a give-up).
+        if (t.lb.ctx != 0 && onRackRootDone)
+            onRackRootDone(nullptr, t.lb, t.firstSubmit);
+        freeTasks_.push_back(slot);
         return;
     }
-    scheduleRetry(task_id);
+    scheduleRetry(slot);
 }
 
 void
-ClusterSim::scheduleRetry(std::uint64_t task_id)
+ClusterSim::scheduleRetry(std::uint32_t slot)
 {
-    RootTask &t = tasks_[task_id];
+    RootTask &t = tasks_[slot];
     if (recording_)
         ++retries_;
-    const std::uint64_t gen = ++t.generation;
-    const Tick delay = p_.recovery.backoffDelay(t.attempt);
+    const std::uint32_t gen = ++t.generation;
+    const Tick delay = RecoveryParams::backoffDelay(t.attempt);
     UMANY_TRACE(TraceSink::active()->instant(
-        eq_.now(), p_.tracePidBase + t.lastTarget, traceClientTrack, "recovery.retry",
-        task_id, static_cast<double>(t.attempt)));
+        eq_.now(), p_.tracePidBase + t.lastTarget, traceClientTrack,
+        "recovery.retry", t.trace, static_cast<double>(t.attempt)));
     eq_.schedule(eq_.now() + delay, EvTag{EvSrc::ClientRetry},
-                 [this, task_id, gen]() {
-        auto it = tasks_.find(task_id);
-        if (it == tasks_.end() || it->second.generation != gen)
-            return;
-        launchAttempt(task_id);
+                 [this, slot, gen]() {
+        if (tasks_[slot].generation == gen)
+            launchAttempt(slot);
     });
 }
 
 void
-ClusterSim::recoveredRootComplete(ServiceRequest *req)
+ClusterSim::handleRootComplete(ServiceRequest *req)
 {
     ++attemptsResolved_;
-    auto rit = reqTask_.find(req->id());
-    if (rit == reqTask_.end()) {
+    const std::uint32_t slot = req->taskSlot;
+    RootTask &t = tasks_[slot];
+    if (t.inFlight != req) {
         // The client already timed this attempt out; the response
         // arrived too late to matter.
         if (recording_)
@@ -366,80 +330,27 @@ ClusterSim::recoveredRootComplete(ServiceRequest *req)
         destroy(req);
         return;
     }
-    const std::uint64_t task_id = rit->second;
-    reqTask_.erase(rit);
-    RootTask &t = tasks_[task_id];
-    t.generation += 1; // Defuses this attempt's pending timeout.
-    t.inFlight = 0;
+    t.generation += 1; // Defuses this attempt's pending deadline.
+    t.inFlight = nullptr;
 
-    if (req->rejected && p_.recovery.retryRejects &&
-        t.attempt <= p_.recovery.maxRetries) {
+    if (req->rejected && p_.recovery.enabled &&
+        t.attempt <= RecoveryParams::maxRetries) {
         destroy(req);
-        scheduleRetry(task_id);
+        scheduleRetry(slot);
         return;
     }
 
-    // Final word for this task: client-observed latency spans every
-    // attempt and backoff wait, from the first submit.
+    // Final word for this root: client-observed latency spans every
+    // attempt and backoff wait, from the first submit. For a
+    // rack-routed root the rack layer accounts both inter-package
+    // hops; adding them makes the latency what the rack's client saw.
     Tick latency = eq_.now() - t.firstSubmit;
     Tick hop = 0;
-    Tick clientStart = t.firstSubmit;
-    if (t.rackCtx != 0 && onRackRootDone) {
-        const RackRootInfo info =
-            onRackRootDone(req, t.rackCtx, latency, !req->rejected);
+    if (t.lb.ctx != 0 && onRackRootDone) {
+        const Tick rack_hop = onRackRootDone(req, t.lb, t.firstSubmit);
         if (!req->rejected) {
-            latency = info.latency;
-            hop = info.hopTicks;
-            clientStart = info.clientStart;
-        }
-    }
-    const Tick first_submit = t.firstSubmit;
-    const ServiceId ep = t.endpoint;
-    if (recording_) {
-        ++observedRoots_;
-        if (req->rejected) {
-            ++rejectedRoots_;
-        } else {
-            ++completedRoots_;
-            perEndpoint_[ep].add(latency);
-            allLatency_.add(latency);
-            const Tick threshold = qosThreshold_[ep];
-            if (threshold != 0 && latency > threshold)
-                ++qosViolations_;
-            UMANY_ATTRIB({
-                AttribRegistry *ar = AttribRegistry::active();
-                ar->noteRetryWait(*req, first_submit);
-                if (hop != 0)
-                    ar->noteInterPackageHop(*req, clientStart, hop);
-                ar->markRootObserved(*req, latency);
-            });
-        }
-    }
-    tasks_.erase(task_id);
-    destroy(req);
-}
-
-void
-ClusterSim::handleRootComplete(ServerId, ServiceRequest *req)
-{
-    if (p_.recovery.enabled) {
-        recoveredRootComplete(req);
-        return;
-    }
-    Tick latency = eq_.now() - req->createdAt;
-    Tick hop = 0;
-    Tick clientStart = req->createdAt;
-    // Rack-routed roots: let the rack layer account both inter-
-    // package hops and hand back the client-observed latency, so
-    // this package's histograms and ledger record what the rack's
-    // client saw, not the package-local view.
-    if (onRackRootDone && req->rackCtx != 0) {
-        const RackRootInfo info = onRackRootDone(
-            req, req->rackCtx, latency, !req->rejected);
-        if (!req->rejected) {
-            latency = info.latency;
-            hop = info.hopTicks;
-            clientStart = info.clientStart;
+            hop = rack_hop;
+            latency += hop;
         }
     }
     if (recording_) {
@@ -448,19 +359,22 @@ ClusterSim::handleRootComplete(ServerId, ServiceRequest *req)
             ++rejectedRoots_;
         } else {
             ++completedRoots_;
-            perEndpoint_[req->rootEndpoint].add(latency);
+            perEndpoint_[t.endpoint].add(latency);
             allLatency_.add(latency);
-            const Tick threshold = qosThreshold_[req->rootEndpoint];
+            const Tick threshold = qosThreshold_[t.endpoint];
             if (threshold != 0 && latency > threshold)
                 ++qosViolations_;
             UMANY_ATTRIB({
                 AttribRegistry *ar = AttribRegistry::active();
+                ar->noteRetryWait(*req, t.firstSubmit);
                 if (hop != 0)
-                    ar->noteInterPackageHop(*req, clientStart, hop);
+                    ar->noteInterPackageHop(*req, t.lb.lbArrival,
+                                            hop);
                 ar->markRootObserved(*req, latency);
             });
         }
     }
+    freeTasks_.push_back(slot);
     destroy(req);
 }
 

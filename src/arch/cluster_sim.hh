@@ -10,9 +10,9 @@
 #ifndef UMANY_ARCH_CLUSTER_SIM_HH
 #define UMANY_ARCH_CLUSTER_SIM_HH
 
+#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/server.hh"
@@ -26,27 +26,26 @@ namespace umany
 {
 
 /**
- * Client-side recovery policy at the load-generator boundary:
- * each root request is a task that is retried with exponential
- * backoff when an attempt times out (or comes back rejected),
- * up to a retry budget. Off by default — the legacy submit path
- * is taken unchanged when disabled.
+ * Client-side recovery at the load-generator boundary. Every root is
+ * a task; with recovery on, an attempt that times out or comes back
+ * rejected is retried with exponential backoff, up to a retry
+ * budget. Off by default: a task then makes exactly one attempt and
+ * schedules no deadline. The policy's shape is fixed; only the
+ * switch is configurable.
  */
 struct RecoveryParams
 {
     bool enabled = false;
     /** Client-observed deadline for one attempt. */
-    Tick timeout = fromMs(5.0);
+    static constexpr Tick timeout = fromMs(5.0);
     /** Retries beyond the first attempt (maxRetries + 1 total). */
-    std::uint32_t maxRetries = 3;
-    Tick backoffBase = fromUs(500.0);
-    double backoffFactor = 2.0;
-    Tick backoffCap = fromMs(8.0);
-    /** Also retry attempts the server explicitly rejected/shed. */
-    bool retryRejects = true;
+    static constexpr std::uint32_t maxRetries = 3;
+    static constexpr Tick backoffBase = fromUs(500.0);
+    static constexpr double backoffFactor = 2.0;
+    static constexpr Tick backoffCap = fromMs(8.0);
 
     /** Deterministic delay before attempt @p attempt + 1. */
-    Tick backoffDelay(std::uint32_t attempt) const;
+    static Tick backoffDelay(std::uint32_t attempt);
 };
 
 /** Cluster-level configuration. */
@@ -77,6 +76,20 @@ struct ClusterSimParams
     std::uint32_t tracePidBase = 0;
 };
 
+/**
+ * The rack load balancer's record of a root it routed. It rides with
+ * the root's client task inside the package and comes back through
+ * ClusterSim::onRackRootDone, so the rack layer keeps no per-root
+ * state.
+ */
+struct LbRecord
+{
+    /** Context number (trace id); 0 = not rack-routed. */
+    std::uint64_t ctx = 0;
+    Tick lbArrival = 0; //!< When the root reached the LB.
+    Tick reqQueue = 0;  //!< Queueing share of the request hop.
+};
+
 /** The simulated server cluster. */
 class ClusterSim
 {
@@ -89,42 +102,32 @@ class ClusterSim
     ClusterSim(const ClusterSim &) = delete;
     ClusterSim &operator=(const ClusterSim &) = delete;
 
+    /** Payload sizes of a root's request and response. */
+    static constexpr std::uint32_t rootReqBytes = 512;
+    static constexpr std::uint32_t rootRespBytes = 2048;
+
     /**
      * Submit one root request for @p endpoint (round-robin across
-     * servers), as the load generator's client would.
+     * servers), as the load generator's client would. A rack-routed
+     * root carries its LB record (nonzero ctx), handed back through
+     * onRackRootDone when the root resolves.
      */
-    void submitRoot(ServiceId endpoint);
+    void submitRoot(ServiceId endpoint, const LbRecord &lb = {});
 
     /** @name Rack integration (src/rack). @{ */
     /**
-     * What the rack layer reports back when a root it routed
-     * resolves: the client-observed latency (package latency plus
-     * both inter-package hops), the hop ticks alone, and the tick
-     * the root arrived at the load balancer.
-     */
-    struct RackRootInfo
-    {
-        Tick latency = 0;
-        Tick hopTicks = 0;
-        Tick clientStart = 0;
-    };
-    /**
      * Called exactly once per rack-routed root when it resolves
      * (completion, rejection, or recovery give-up — @p req is null
-     * for a give-up). The package then records @p latency — not its
-     * local view — into its histograms and ledger, so merging
-     * package histograms yields client-observed rack latencies.
+     * for a give-up), with the root's LB record and the tick it
+     * entered this package. Returns the ticks of both inter-package
+     * hops; a completed root's package adds them to its local
+     * latency and records the sum, timed from the LB arrival, into
+     * its histograms and ledger, so merging package histograms
+     * yields client-observed rack latencies.
      */
-    using RackRootFn = std::function<RackRootInfo(
-        ServiceRequest *req, std::uint64_t ctx, Tick pkg_latency,
-        bool completed)>;
+    using RackRootFn = std::function<Tick(
+        ServiceRequest *req, const LbRecord &lb, Tick first_submit)>;
     RackRootFn onRackRootDone;
-    /**
-     * Rack-routed submit: like submitRoot(), with an opaque rack
-     * context (nonzero) passed back through onRackRootDone when the
-     * root resolves.
-     */
-    void submitRoot(ServiceId endpoint, std::uint64_t rack_ctx);
     /** @} */
 
     /** Enable/disable latency recording (off during warmup). */
@@ -189,24 +192,36 @@ class ClusterSim
 
     /**
      * One root request as the client sees it: a sequence of attempts
-     * (each a distinct ServiceRequest) until a response arrives in
-     * time or the retry budget runs out. The event queue has no
-     * cancel primitive, so every scheduled timeout carries the
-     * attempt generation and no-ops when it is no longer current.
+     * (each a distinct ServiceRequest, which carries the task's
+     * slot) until a response arrives in time or the retry budget
+     * runs out. Without recovery a task makes exactly one attempt.
+     * The event queue has no cancel primitive, so a deadline or
+     * retry carries (slot, generation) and no-ops once the
+     * generation moved on.
      */
     struct RootTask
     {
-        ServiceId endpoint = 0;
         Tick firstSubmit = 0;
-        std::uint32_t attempt = 0;    //!< Attempts launched so far.
-        std::uint64_t generation = 0; //!< Bumped per launch/resolve.
-        RequestId inFlight = 0;       //!< 0 while backing off.
+        /** The attempt whose response counts; null while backing
+         *  off, so any other response is stale. */
+        ServiceRequest *inFlight = nullptr;
+        LbRecord lb;
+        /** Bumped per launch and resolve; it only grows, across the
+         *  slot's lives too, so a stale event never matches. */
+        std::uint32_t generation = 0;
+        std::uint32_t trace = 0;   //!< Trace id, in submit order.
+        std::uint32_t attempt = 0; //!< Attempts launched so far.
         ServerId lastTarget = 0;
-        std::uint64_t rackCtx = 0;    //!< Rack routing context (0 = none).
+        ServiceId endpoint = 0;
     };
-    std::unordered_map<std::uint64_t, RootTask> tasks_;
-    std::unordered_map<RequestId, std::uint64_t> reqTask_;
-    std::uint64_t nextTask_ = 1;
+    /**
+     * Tasks by slot. Deadlines and retries can outlive their task,
+     * so a slot is never relocated or poisoned: the deque grows at
+     * the back only, and released slots are reused from a free list.
+     */
+    std::deque<RootTask> tasks_;
+    std::vector<std::uint32_t> freeTasks_;
+    std::uint32_t nextTrace_ = 1;
     /** Lifecycle-conservation pair audited at finalCheck(). */
     std::uint64_t attemptsLaunched_ = 0;
     std::uint64_t attemptsResolved_ = 0;
@@ -234,12 +249,12 @@ class ClusterSim
                                 ServiceRequest *parent);
     void destroy(ServiceRequest *req);
 
-    void handleRootComplete(ServerId s, ServiceRequest *req);
+    /** Resolve every root: response, rejection or stale response. */
+    void handleRootComplete(ServiceRequest *req);
+    void launchAttempt(std::uint32_t slot);
     /** @name Recovery machinery (recovery.enabled only) @{ */
-    void launchAttempt(std::uint64_t task_id);
-    void onAttemptTimeout(std::uint64_t task_id, std::uint64_t gen);
-    void scheduleRetry(std::uint64_t task_id);
-    void recoveredRootComplete(ServiceRequest *req);
+    void onAttemptTimeout(std::uint32_t slot, std::uint32_t gen);
+    void scheduleRetry(std::uint32_t slot);
     /** @} */
     void handleStorageCall(ServerId s, ServiceRequest *parent,
                            const CallStep &step);

@@ -8,15 +8,6 @@
 namespace umany
 {
 
-namespace
-{
-
-/** Root request/response sizes, matching ClusterSim's roots. */
-constexpr std::uint32_t kRootReqBytes = 512;
-constexpr std::uint32_t kRootRespBytes = 2048;
-
-} // namespace
-
 RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                  const std::vector<MachineParams> &machines,
                  const RackSimParams &p)
@@ -72,10 +63,10 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                                                      mp, cp));
         if (racked) {
             pkgs_[pkg]->onRackRootDone =
-                [this, pkg](ServiceRequest *req, std::uint64_t ctx,
-                            Tick pkg_latency, bool completed) {
-                    return onRootDone(pkg, req, ctx, pkg_latency,
-                                      completed);
+                [this, pkg](ServiceRequest *req,
+                            const LbRecord &lb,
+                            Tick first_submit) {
+                    return onRootDone(pkg, req, lb, first_submit);
                 };
         }
     }
@@ -90,20 +81,15 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
             Histogram(), std::vector<Histogram>(p_.packages),
             std::vector<Histogram>(p_.packages)});
         // The LB conserves its dispatch ledger: every routed root
-        // resolves exactly once, so no context (and no in-flight
-        // count) survives a clean drain.
+        // resolves exactly once, so no in-flight count survives a
+        // clean drain.
         UMANY_INVARIANT(InvariantChecker::active()->addFinalAuditor(
             "rack.lb", [this](InvariantChecker &ic) {
-                ic.expect(liveCtxs_ == 0,
-                          "%zu rack roots still pending after drain",
-                          liveCtxs_);
-                std::uint64_t inflight = 0;
-                for (const std::uint64_t n : inflight_)
-                    inflight += n;
-                ic.expect(inflight == 0,
+                ic.expect(pendingRoots() == 0,
                           "LB counts %llu roots in flight after "
                           "drain",
-                          static_cast<unsigned long long>(inflight));
+                          static_cast<unsigned long long>(
+                              pendingRoots()));
             }));
     }
 }
@@ -143,7 +129,7 @@ void
 RackSim::submitRoot(ServiceId endpoint)
 {
     if (pkgs_.size() == 1) {
-        // Rack layer disabled: forward synchronously, no context,
+        // Rack layer disabled: forward synchronously, no LB record,
         // no hops — byte-identical to a bare ClusterSim.
         pkgs_[0]->submitRoot(endpoint);
         return;
@@ -191,15 +177,12 @@ RackSim::submitRoot(ServiceId endpoint)
     ++lbDispatches_[pkg];
     ++inflight_[pkg];
     const Tick now = eq_.now();
-    Tick req_queue = 0;
-    const Tick arrive = sub_->net.send(p_.packages, pkg, kRootReqBytes,
-                                       now, &req_queue);
-    const std::uint64_t ctx = nextCtx_++;
-    while (ctxs_.empty() || ctxs_[ctx & (ctxs_.size() - 1)].ctx != 0)
-        growCtxs();
-    ctxs_[ctx & (ctxs_.size() - 1)] =
-        PendingRoot{ctx, now, arrive, req_queue, pkg, endpoint};
-    ++liveCtxs_;
+    LbRecord lb;
+    lb.ctx = nextCtx_++;
+    lb.lbArrival = now;
+    const Tick arrive =
+        sub_->net.send(p_.packages, pkg, ClusterSim::rootReqBytes, now,
+                       &lb.reqQueue);
     UMANY_TRACE({
         // The LB's view of the root: one lb.root span covering
         // dispatch to response, a dispatch marker naming the chosen
@@ -207,63 +190,36 @@ RackSim::submitRoot(ServiceId endpoint)
         // fabric hop shows as its own span so link queueing is
         // visible as span stretch.
         TraceSink *s = TraceSink::active();
-        s->spanBegin(now, rackPid_, traceLbTrack, "lb.root", ctx);
-        s->instant(now, rackPid_, traceLbTrack, "lb.dispatch", ctx,
+        s->spanBegin(now, rackPid_, traceLbTrack, "lb.root", lb.ctx);
+        s->instant(now, rackPid_, traceLbTrack, "lb.dispatch", lb.ctx,
                    static_cast<double>(pkg));
         s->flowStart(now, rackPid_, traceLbTrack, "rack.req",
-                     traceRackReqFlowBit | ctx);
+                     traceRackReqFlowBit | lb.ctx);
         s->spanBegin(now, rackPid_, traceFabricTrack, "fabric.req",
-                     traceRackReqFlowBit | ctx);
+                     traceRackReqFlowBit | lb.ctx);
         s->spanEnd(arrive, rackPid_, traceFabricTrack, "fabric.req",
-                   traceRackReqFlowBit | ctx);
+                   traceRackReqFlowBit | lb.ctx);
     });
-    eq_.schedule(arrive, EvTag{EvSrc::NetExternal},
-                 [this, pkg, endpoint, ctx]() {
-        pkgs_[pkg]->submitRoot(endpoint, ctx);
-    });
+    // The record rides with the root into its package.
+    auto enter = [this, pkg, endpoint, lb]() {
+        pkgs_[pkg]->submitRoot(endpoint, lb);
+    };
+    static_assert(EventQueue::Callback::fitsInline<decltype(enter)>(),
+                  "a root's package entry must fit inline");
+    eq_.schedule(arrive, EvTag{EvSrc::NetExternal}, std::move(enter));
 }
 
-void
-RackSim::growCtxs()
-{
-    const std::vector<PendingRoot> old = std::move(ctxs_);
-    for (std::size_t n = old.empty() ? 64 : 2 * old.size();; n *= 2) {
-        ctxs_.assign(n, PendingRoot{});
-        bool placed = true;
-        for (const PendingRoot &r : old) {
-            if (r.ctx == 0)
-                continue;
-            PendingRoot &slot = ctxs_[r.ctx & (n - 1)];
-            if (slot.ctx != 0) {
-                placed = false;
-                break;
-            }
-            slot = r;
-        }
-        if (placed)
-            return;
-    }
-}
-
-ClusterSim::RackRootInfo
+Tick
 RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
-                    std::uint64_t ctx, Tick pkg_latency,
-                    bool completed)
+                    const LbRecord &lb, Tick first_submit)
 {
-    PendingRoot *slot =
-        ctxs_.empty() ? nullptr : &ctxs_[ctx & (ctxs_.size() - 1)];
-    if (slot == nullptr || slot->ctx != ctx)
-        panic("rack root resolved with unknown context %llu",
-              static_cast<unsigned long long>(ctx));
-    const PendingRoot pending = *slot;
-    slot->ctx = 0;
-    --liveCtxs_;
-    if (pending.pkg != pkg)
-        panic("rack root for package %u resolved by package %u",
-              pending.pkg, pkg);
+    const std::uint64_t ctx = lb.ctx;
+    if (inflight_[pkg] == 0)
+        panic("rack root %llu resolved by package %u, which has no "
+              "root in flight",
+              static_cast<unsigned long long>(ctx), pkg);
     --inflight_[pkg];
 
-    ClusterSim::RackRootInfo info;
     if (req == nullptr) {
         // Recovery give-up: the client timed out; nothing crosses
         // the rack network back.
@@ -274,24 +230,22 @@ RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
             s->spanEnd(eq_.now(), rackPid_, traceLbTrack, "lb.root",
                        ctx);
         });
-        return info;
+        return 0;
     }
     const Tick now = eq_.now();
     // The response crosses back to the LB (rejections answer too),
     // occupying the package's egress link.
     Tick resp_queue = 0;
-    const Tick back = sub_->net.send(pkg, p_.packages, kRootRespBytes,
-                                     now, &resp_queue);
-    const Tick ingress = pending.submitAt - pending.lbArrival;
+    const Tick back = sub_->net.send(
+        pkg, p_.packages, ClusterSim::rootRespBytes, now, &resp_queue);
+    const Tick ingress = first_submit - lb.lbArrival;
     const Tick egress = back - now;
-    info.hopTicks = ingress + egress;
-    info.latency = pkg_latency + info.hopTicks;
-    info.clientStart = pending.lbArrival;
-    const Tick hop_queue = pending.reqQueue + resp_queue;
-    if (completed && recording_) {
-        sub_->pkgHopTicks.add(info.hopTicks);
+    const Tick hop = ingress + egress;
+    const Tick hop_queue = lb.reqQueue + resp_queue;
+    if (!req->rejected && recording_) {
+        sub_->pkgHopTicks.add(hop);
         sub_->hopQueueTicks[pkg].add(hop_queue);
-        sub_->hopTransitTicks[pkg].add(info.hopTicks - hop_queue);
+        sub_->hopTransitTicks[pkg].add(hop - hop_queue);
     }
     UMANY_TRACE({
         // Stitch the response back: the arrow leaves the root's
@@ -315,7 +269,16 @@ RackSim::onRootDone(std::uint32_t pkg, ServiceRequest *req,
                    traceRackRespFlowBit | ctx);
         s->spanEnd(back, rackPid_, traceLbTrack, "lb.root", ctx);
     });
-    return info;
+    return hop;
+}
+
+std::uint64_t
+RackSim::pendingRoots() const
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t pending : inflight_)
+        n += pending;
+    return n;
 }
 
 std::uint64_t

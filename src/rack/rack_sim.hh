@@ -17,8 +17,12 @@
  * the attribution ledger still sums by construction (the hops land
  * in AttribComp::PkgHop).
  *
+ * The LB keeps no per-root state beyond its per-package in-flight
+ * counts: its record of a root (LbRecord) travels with the root into
+ * its package and comes back through the package's completion hook.
+ *
  * With one package the rack layer is inert: submits forward
- * synchronously, no context is allocated, no hop is charged, no
+ * synchronously, no LB record is built, no hop is charged, no
  * fabric, placement or hop histogram is built, and every result is
  * byte-identical to a bare ClusterSim run.
  */
@@ -130,7 +134,7 @@ class RackSim
         return policy_ ? policy_->probesIssued() : 0;
     }
     /** Roots dispatched by the LB and not yet resolved. */
-    std::size_t pendingRoots() const { return liveCtxs_; }
+    std::uint64_t pendingRoots() const;
     /** @} */
 
     /** @name Aggregated package counters (LB sheds included) @{ */
@@ -159,17 +163,6 @@ class RackSim
     const ServiceCatalog &catalog() const { return catalog_; }
 
   private:
-    /** One dispatched root the LB is waiting on. */
-    struct PendingRoot
-    {
-        std::uint64_t ctx = 0; //!< Its context number; 0 = free.
-        Tick lbArrival = 0; //!< When the root reached the LB.
-        Tick submitAt = 0;  //!< When it enters its package.
-        Tick reqQueue = 0;  //!< Queueing share of the request hop.
-        std::uint32_t pkg = 0;
-        ServiceId endpoint = 0;
-    };
-
     /** What only a rack of two or more packages uses. */
     struct Substrate
     {
@@ -191,15 +184,6 @@ class RackSim
     std::vector<std::uint64_t> inflight_;
     std::vector<std::uint64_t> lbDispatches_;
     std::vector<std::uint32_t> candScratch_;
-    /**
-     * Pending roots indexed by context number: a power-of-two ring
-     * read at ctx & (size - 1). Contexts are numbered in dispatch
-     * order, so a slot has normally resolved by the time its number
-     * comes round again; when it has not, the ring doubles. Empty
-     * until the first dispatch.
-     */
-    std::vector<PendingRoot> ctxs_;
-    std::size_t liveCtxs_ = 0;
     std::uint64_t nextCtx_ = 1;
     std::uint64_t rrCursor_ = 0;
     std::uint64_t lbShedRoots_ = 0;
@@ -212,15 +196,8 @@ class RackSim
     std::uint32_t pidStride_ = 0;
     std::uint32_t rackPid_ = 0;
 
-    /** Double the ring until every live context has its own
-     *  slot. */
-    void growCtxs();
-
-    ClusterSim::RackRootInfo onRootDone(std::uint32_t pkg,
-                                        ServiceRequest *req,
-                                        std::uint64_t ctx,
-                                        Tick pkg_latency,
-                                        bool completed);
+    Tick onRootDone(std::uint32_t pkg, ServiceRequest *req,
+                    const LbRecord &lb, Tick first_submit);
 };
 
 } // namespace umany

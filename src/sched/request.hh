@@ -178,9 +178,8 @@ class ServiceRequest
 
     /** @name Root-request bookkeeping (valid when parent == nullptr) @{ */
     ServiceId rootEndpoint = invalidId;
-    /** Rack context of a rack-routed root (0 = none); handed back
-     *  to the rack layer when the root resolves. */
-    std::uint64_t rackCtx = 0;
+    /** Slot of the client task this root is an attempt of. */
+    std::uint32_t taskSlot = 0;
     /** @} */
 
     /** @name Machine-internal bookkeeping @{ */

@@ -5,9 +5,10 @@
  * pb_trace does, and checks that once a run has warmed up the
  * simulator makes at most one heap allocation per hundred events:
  * requests and their behaviours, ready-list entries, ledger records,
- * critical paths and rack contexts are all recycled. A per-request
- * allocation that comes back costs several allocations per root,
- * about 0.3 per event, and fails here.
+ * critical paths and client tasks are all recycled, with recovery
+ * off and on. A per-request allocation that comes back costs several
+ * allocations per root, about 0.3 per event, and fails here; so do
+ * two hash-map entries per root, about 0.016 per event.
  */
 
 #include <gtest/gtest.h>
@@ -109,12 +110,15 @@ allocsPerEvent(EventQueue &eq)
     return per_event;
 }
 
-TEST(AllocBudget, ClusterRequestLifecycle)
+/** A 2-server cluster at 15K RPS per server. */
+void
+expectClusterInBudget(bool recovery)
 {
     const ServiceCatalog cat = buildSocialNetwork();
     EventQueue eq;
     ClusterSimParams cp;
     cp.numServers = 2;
+    cp.recovery.enabled = recovery;
     ClusterSim sim(eq, cat, uManycoreParams(), cp);
     LoadGenerator gen(eq, cat, load(2 * 15000.0, 1),
                       [&sim](ServiceId ep) { sim.submitRoot(ep); });
@@ -125,7 +129,9 @@ TEST(AllocBudget, ClusterRequestLifecycle)
     EXPECT_EQ(sim.requestsInFlight(), 0u);
 }
 
-TEST(AllocBudget, RackWithLedgerOn)
+/** A 2-package po2c rack of 2-server packages, ledger on. */
+void
+expectRackInBudget(bool recovery)
 {
     const ServiceCatalog cat = buildSocialNetwork();
     AttribRegistry ledger;
@@ -135,6 +141,7 @@ TEST(AllocBudget, RackWithLedgerOn)
     rp.packages = 2;
     rp.replica.kind = DispatchKind::Po2c;
     rp.cluster.numServers = 2;
+    rp.cluster.recovery.enabled = recovery;
     RackSim rack(eq, cat, {uManycoreParams()}, rp);
     LoadGenerator gen(eq, cat, load(4 * 15000.0, rp.packages),
                       [&rack](ServiceId ep) { rack.submitRoot(ep); });
@@ -144,6 +151,26 @@ TEST(AllocBudget, RackWithLedgerOn)
     EXPECT_GT(ledger.rootsObserved(), 0u);
     EXPECT_EQ(ledger.liveRecords(), 0u);
     EXPECT_EQ(rack.pendingRoots(), 0u);
+}
+
+TEST(AllocBudget, ClusterRequestLifecycle)
+{
+    expectClusterInBudget(false);
+}
+
+TEST(AllocBudget, RecoveringClusterRequestLifecycle)
+{
+    expectClusterInBudget(true);
+}
+
+TEST(AllocBudget, RackWithLedgerOn)
+{
+    expectRackInBudget(false);
+}
+
+TEST(AllocBudget, RecoveringRackWithLedgerOn)
+{
+    expectRackInBudget(true);
 }
 
 } // namespace

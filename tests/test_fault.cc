@@ -23,6 +23,7 @@
 #include "noc/network.hh"
 #include "sched/service_map.hh"
 #include "workload/app_graph.hh"
+#include "workload/synthetic.hh"
 
 namespace umany
 {
@@ -395,22 +396,56 @@ TEST(FaultCluster, RecoveryRetriesRejectedRoots)
     EXPECT_GT(stats.value("server0.requests.shed_no_path"), 0.0);
 }
 
-TEST(FaultCluster, ZeroFaultRunMatchesFaultFreeBaseline)
+void
+expectSameLatency(const LatencyStats &a, const LatencyStats &b)
 {
-    // The fault layer must be invisible when nothing is injected:
-    // a run with recovery off and no plan is byte-identical whether
-    // or not the fault code paths exist (pinned against the
-    // metrics/stats artifact of a plain run).
-    const ServiceCatalog catalog = buildSocialNetwork();
+    EXPECT_EQ(a.avgMs, b.avgMs);
+    EXPECT_EQ(a.p50Ms, b.p50Ms);
+    EXPECT_EQ(a.p99Ms, b.p99Ms);
+    EXPECT_EQ(a.samples, b.samples);
+}
+
+TEST(FaultCluster, RecoveryWithoutTimeoutsMatchesRecoveryOff)
+{
+    // Without faults and with every attempt inside its deadline, the
+    // recovery client must be invisible: each root resolves on its
+    // first attempt, so a recovering run measures exactly what a
+    // plain one does. Deterministic 200 us single-segment roots at
+    // 2K RPS finish far inside the 5 ms deadline.
+    SyntheticParams sp;
+    sp.dist = SynthDist::Deterministic;
+    sp.meanUs = 200.0;
+    sp.minCalls = 0;
+    sp.maxCalls = 0;
+    const ServiceCatalog catalog = buildSynthetic(sp);
     ExperimentConfig plain = faultedConfig(0);
     plain.cluster.recovery.enabled = false;
-    StatsDump s1, s2;
-    const RunMetrics m1 = runExperiment(catalog, plain, &s1);
-    const RunMetrics m2 = runExperiment(catalog, plain, &s2);
-    EXPECT_EQ(metricsJson(m1), metricsJson(m2));
-    EXPECT_EQ(s1.formatJson(), s2.formatJson());
-    EXPECT_FALSE(s1.has("cluster.recovery.retries"));
-    EXPECT_FALSE(s1.has("server0.net.dead_links"));
+    const ExperimentConfig recovering = faultedConfig(0);
+    StatsDump s_off, s_on;
+    const RunMetrics off = runExperiment(catalog, plain, &s_off);
+    const RunMetrics on = runExperiment(catalog, recovering, &s_on);
+
+    EXPECT_EQ(s_on.value("cluster.recovery.timeouts"), 0.0);
+    EXPECT_GT(off.completed, 0u);
+    EXPECT_EQ(on.completed, off.completed);
+    EXPECT_EQ(on.rejected, off.rejected);
+    EXPECT_EQ(on.observed, off.observed);
+    EXPECT_EQ(on.icnMessages, off.icnMessages);
+    expectSameLatency(on.overall, off.overall);
+    ASSERT_EQ(on.perEndpoint.size(), off.perEndpoint.size());
+    for (const auto &[name, stats] : off.perEndpoint)
+        expectSameLatency(on.perEndpoint.at(name), stats);
+    // The core and link utilizations are left out: they average
+    // busy time up to the run's last event, and a recovering
+    // client's deadlines, which no-op once their attempt resolved,
+    // run up to 5 ms past the last response.
+
+    for (const StatEntry &e : s_off.entries()) {
+        EXPECT_EQ(e.name.find("cluster.recovery."), std::string::npos)
+            << e.name;
+        EXPECT_EQ(e.name.find("net.dead_links"), std::string::npos)
+            << e.name;
+    }
 }
 
 } // namespace

@@ -178,7 +178,7 @@ TEST(ServiceRequest, ResetMatchesFreshConstruction)
     used.runningTime = 15;
     used.contextSwitches = 16;
     used.rootEndpoint = 17;
-    used.rackCtx = 18;
+    used.taskSlot = 18;
     used.seq = 19;
     used.queueId = 20;
     used.pendingOverhead = 21;
@@ -209,7 +209,7 @@ TEST(ServiceRequest, ResetMatchesFreshConstruction)
     EXPECT_EQ(used.runningTime, fresh.runningTime);
     EXPECT_EQ(used.contextSwitches, fresh.contextSwitches);
     EXPECT_EQ(used.rootEndpoint, fresh.rootEndpoint);
-    EXPECT_EQ(used.rackCtx, fresh.rackCtx);
+    EXPECT_EQ(used.taskSlot, fresh.taskSlot);
     EXPECT_EQ(used.seq, fresh.seq);
     EXPECT_EQ(used.queueId, fresh.queueId);
     EXPECT_EQ(used.pendingOverhead, fresh.pendingOverhead);
